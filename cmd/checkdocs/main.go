@@ -3,8 +3,9 @@
 // doc comment, or when an exported top-level declaration of the public
 // facade package (the repository root), of the shared interface package
 // internal/summary, of the multi-level ingestion core internal/mlq, of
-// the relative-error tail tier internal/req, or of the randomized
-// Felber–Ostrovsky tier internal/fo is undocumented.
+// the relative-error tail tier internal/req, of the randomized
+// Felber–Ostrovsky tier internal/fo, of the wire format internal/encoding,
+// or of the HTTP and aggregation tier internal/cluster is undocumented.
 //
 // The rule matches the repository's documentation contract (DESIGN.md):
 // every package states which paper section or related-work result it
@@ -18,6 +19,9 @@
 // corpus build on; internal/fo because its exported surface (Config, the
 // ExportState fields carrying the generator state, Restore) is both the
 // KindFO wire contract and the seeding contract reproducibility rests on.
+// internal/encoding and internal/cluster are held to it because their
+// exported surfaces are the wire format and HTTP contract other nodes and
+// the benchmark program build against.
 //
 // Usage (from the repository root):
 //
@@ -55,7 +59,7 @@ func main() {
 	}
 	// Exported-symbol coverage: the public facade and the shared interface
 	// package every summary implements.
-	for _, dir := range []string{".", "internal/summary", "internal/mlq", "internal/req", "internal/fo"} {
+	for _, dir := range []string{".", "internal/summary", "internal/mlq", "internal/req", "internal/fo", "internal/encoding", "internal/cluster"} {
 		v, err := checkExportedDocs(dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "checkdocs: %v\n", err)

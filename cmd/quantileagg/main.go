@@ -2,27 +2,27 @@
 // (internal/cluster): it periodically pulls the binary snapshot of every
 // configured quantileserver peer, merges them under the COMBINE rule
 // (eps_new = max over peers — distribution adds no error), and serves the
-// globally merged read API. Every route below is also available under the
-// versioned /v1/ prefix, which new clients should prefer.
+// globally merged read API.
 //
 // Default (single-stream) mode pulls GET /v1/snapshot of each peer, with
 // incremental delta snapshots negotiated by default (-delta=false forces
 // full payloads):
 //
-//	GET  /quantile  ?phi=0.5&phi=0.99  global quantiles over all peers
-//	GET  /rank      ?q=1.5             global rank estimate
-//	GET  /cdf       ?q=1&q=2           global CDF points
-//	GET  /stats                        merged-view size + per-peer pull health
-//	                                   (wire bytes, delta fetches, tree state)
-//	GET  /snapshot                     merged view re-exported as a wire
-//	                                   payload (aggregators compose into trees)
-//	POST /pull                         force a pull round now
+//	GET  /v1/quantile  ?phi=0.5&phi=0.99  global quantiles over all peers
+//	GET  /v1/rank      ?q=1.5             global rank estimate
+//	GET  /v1/cdf       ?q=1&q=2           global CDF points
+//	GET  /v1/stats                        merged-view size + per-peer pull health
+//	                                      (wire bytes, delta fetches, tree state)
+//	GET  /v1/snapshot                     merged view re-exported as a wire
+//	                                      payload (aggregators compose into trees)
+//	POST /v1/pull                         force a pull round now
 //
 // With -keyed it pulls GET /v1/store/snapshot (the multi-key container of
 // the keyed store tier) instead and merges *per key* — a key held by several
 // peers gets their summaries COMBINE-merged, a key held by one passes
-// through — serving /k/{key}/quantile, /k/{key}/rank, /k/{key}/cdf, /keys,
-// /stats, /store/snapshot, and POST /pull.
+// through — serving /v1/k/{key}/quantile, /v1/k/{key}/rank,
+// /v1/k/{key}/cdf, /v1/keys, /v1/stats, /v1/store/snapshot, and
+// POST /v1/pull.
 //
 // Tree mode (-tree-height ≥ 2) turns the aggregator into a combiner in a
 // hierarchical aggregation tree: children are validated against the
@@ -41,7 +41,7 @@
 // /v1/child/{name}/snapshot route every -interval.
 //
 // A peer that cannot be reached keeps contributing its last successful
-// snapshot; its error shows up in /stats until it recovers.
+// snapshot; its error shows up in /v1/stats until it recovers.
 //
 // Example (flat, keyed):
 //

@@ -104,7 +104,7 @@ func TestFOServerPersistenceAcrossReboot(t *testing.T) {
 }
 
 // TestFOServerSnapshotMerge round-trips the single-stream KindFO payload
-// between two fo nodes through GET /snapshot and POST /merge — the
+// between two fo nodes through GET /v1/snapshot and POST /v1/merge — the
 // distributed tier's fan-in path.
 func TestFOServerSnapshotMerge(t *testing.T) {
 	handlerA, stopA := families["fo"](testConfig())

@@ -19,37 +19,36 @@
 // throughput for fsync'd durability).
 //
 // Single-stream endpoints (served by cluster.NewServerHandler; see its doc
-// comment for the full contract — every route below is also available under
-// the versioned /v1/ prefix, which new clients should prefer):
+// comment for the full contract):
 //
-//	POST /update    ingest a batch: whitespace/comma-separated float64s, a
-//	                JSON array of numbers (Content-Type: application/json),
-//	                a weighted JSON array of {"v": value, "w": count}
-//	                objects (each value counts w times; error ≤ ε·W), or
-//	                single items as ?x= query parameters
-//	GET  /quantile  ?phi=0.5&phi=0.99  -> {"results":[{"phi":0.5,"value":...},...]}
-//	GET  /rank      ?q=1.5             -> {"q":1.5,"rank":...,"n":...}
-//	GET  /cdf       ?q=1&q=2&q=3       -> {"points":[{"q":1,"p":...},...]}
-//	GET  /stats                        -> shards, counts, snapshot freshness
-//	GET  /snapshot                     -> binary wire payload of the merged
-//	                                      view, ETag'd by content hash;
-//	                                      ?mode=delta&base=<etag> negotiates
-//	                                      an incremental KindDelta payload
-//	POST /merge                        -> ingest a peer's wire payload
+//	POST /v1/update    ingest a batch: whitespace/comma-separated float64s, a
+//	                   JSON array of numbers (Content-Type: application/json),
+//	                   a weighted JSON array of {"v": value, "w": count}
+//	                   objects (each value counts w times; error ≤ ε·W), or
+//	                   single items as ?x= query parameters
+//	GET  /v1/quantile  ?phi=0.5&phi=0.99  -> {"results":[{"phi":0.5,"value":...},...]}
+//	GET  /v1/rank      ?q=1.5             -> {"q":1.5,"rank":...,"n":...}
+//	GET  /v1/cdf       ?q=1&q=2&q=3       -> {"points":[{"q":1,"p":...},...]}
+//	GET  /v1/stats                        -> shards, counts, snapshot freshness
+//	GET  /v1/snapshot                     -> binary wire payload of the merged
+//	                                         view, ETag'd by content hash;
+//	                                         ?mode=delta&base=<etag> negotiates
+//	                                         an incremental KindDelta payload
+//	POST /v1/merge                        -> ingest a peer's wire payload
 //
 // Keyed endpoints (served by cluster.NewKeyedServerHandler; one summary per
 // metric/tenant key, created lazily, evicted LRU under -store-budget and
 // after -store-ttl idle):
 //
-//	POST /k/{key}/update    ingest a batch into one key (same body formats,
-//	                        weighted {v,w} batches included)
-//	GET  /k/{key}/quantile  per-key quantiles (same JSON shapes as above)
-//	GET  /k/{key}/rank      per-key rank estimate
-//	GET  /k/{key}/cdf       per-key CDF points
-//	GET  /keys              list live keys
-//	GET  /store/stats       key count, retained bytes vs budget, evictions
-//	GET  /store/snapshot    the whole store as one binary container payload
-//	POST /store/merge       ingest a peer's keyed container, merged per key
+//	POST /v1/k/{key}/update    ingest a batch into one key (same body formats,
+//	                           weighted {v,w} batches included)
+//	GET  /v1/k/{key}/quantile  per-key quantiles (same JSON shapes as above)
+//	GET  /v1/k/{key}/rank      per-key rank estimate
+//	GET  /v1/k/{key}/cdf       per-key CDF points
+//	GET  /v1/keys              list live keys
+//	GET  /v1/store/stats       key count, retained bytes vs budget, evictions
+//	GET  /v1/store/snapshot    the whole store as one binary container payload
+//	POST /v1/store/merge       ingest a peer's keyed container, merged per key
 //
 // Example session:
 //

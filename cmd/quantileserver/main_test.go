@@ -20,7 +20,7 @@ func newTestServer() (*sharded.Sharded[float64, *gk.Summary[float64]], http.Hand
 
 func postUpdate(t *testing.T, h http.Handler, contentType, body string) *httptest.ResponseRecorder {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/update", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/update", strings.NewReader(body))
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
@@ -124,7 +124,7 @@ func TestUpdateRejectsNaN(t *testing.T) {
 	if rec := postUpdate(t, h, "", "1 NaN 3"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("NaN in text batch: status = %d, want 400", rec.Code)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/update?x=NaN", nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/update?x=NaN", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
@@ -145,31 +145,31 @@ func TestSnapshotAndMergeRoundTrip(t *testing.T) {
 		t.Fatalf("seeding server A: status = %d", rec.Code)
 	}
 
-	req := httptest.NewRequest(http.MethodGet, "/snapshot?fresh=1", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/snapshot?fresh=1", nil)
 	rec := httptest.NewRecorder()
 	hA.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /snapshot: status = %d", rec.Code)
+		t.Fatalf("GET /v1/snapshot: status = %d", rec.Code)
 	}
 	etag := rec.Header().Get("ETag")
 	if etag == "" {
-		t.Fatal("GET /snapshot: no ETag")
+		t.Fatal("GET /v1/snapshot: no ETag")
 	}
 	payload := rec.Body.String()
 
-	req = httptest.NewRequest(http.MethodGet, "/snapshot", nil)
+	req = httptest.NewRequest(http.MethodGet, "/v1/snapshot", nil)
 	req.Header.Set("If-None-Match", etag)
 	rec = httptest.NewRecorder()
 	hA.ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotModified {
-		t.Fatalf("conditional GET /snapshot: status = %d, want 304", rec.Code)
+		t.Fatalf("conditional GET /v1/snapshot: status = %d, want 304", rec.Code)
 	}
 
-	req = httptest.NewRequest(http.MethodPost, "/merge", strings.NewReader(payload))
+	req = httptest.NewRequest(http.MethodPost, "/v1/merge", strings.NewReader(payload))
 	rec = httptest.NewRecorder()
 	hB.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("POST /merge: status = %d, body %s", rec.Code, rec.Body.String())
+		t.Fatalf("POST /v1/merge: status = %d, body %s", rec.Code, rec.Body.String())
 	}
 	if sB.Count() != 8 {
 		t.Fatalf("server B count after merge = %d, want 8", sB.Count())
@@ -183,11 +183,11 @@ func TestSnapshotAndMergeRoundTrip(t *testing.T) {
 // TestMergeRejectsGarbage: corrupt payloads must yield a structured 400.
 func TestMergeRejectsGarbage(t *testing.T) {
 	s, h := newTestServer()
-	req := httptest.NewRequest(http.MethodPost, "/merge", strings.NewReader("not a payload"))
+	req := httptest.NewRequest(http.MethodPost, "/v1/merge", strings.NewReader("not a payload"))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("POST /merge with garbage: status = %d, want 400", rec.Code)
+		t.Fatalf("POST /v1/merge with garbage: status = %d, want 400", rec.Code)
 	}
 	if s.Count() != 0 {
 		t.Fatalf("garbage merge ingested %d items", s.Count())

@@ -41,7 +41,7 @@ func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRec
 // reflect it (an item of weight 3 out of 4 dominates the median).
 func TestWeightedUpdateBatch(t *testing.T) {
 	s, _, h := newKeyedTestServer()
-	rec := post(t, h, "/update", `[{"v": 10, "w": 3}, {"v": 20}]`)
+	rec := post(t, h, "/v1/update", `[{"v": 10, "w": 3}, {"v": 20}]`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
 	}
@@ -69,7 +69,7 @@ func TestWeightedUpdateBatch(t *testing.T) {
 // endpoint, per-key.
 func TestWeightedKeyedUpdateBatch(t *testing.T) {
 	_, st, h := newKeyedTestServer()
-	rec := post(t, h, "/k/checkout.latency/update", `[{"v": 41.5, "w": 99}, {"v": 97.0, "w": 1}]`)
+	rec := post(t, h, "/v1/k/checkout.latency/update", `[{"v": 41.5, "w": 99}, {"v": 97.0, "w": 1}]`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
 	}
@@ -103,7 +103,7 @@ func TestWeightedUpdateRejectsBadWeights(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, st, h := newKeyedTestServer()
-			for _, path := range []string{"/update", "/k/m/update"} {
+			for _, path := range []string{"/v1/update", "/v1/k/m/update"} {
 				rec := post(t, h, path, tc.body)
 				if rec.Code != http.StatusBadRequest {
 					t.Fatalf("%s: status = %d, want 400 (body %q)", path, rec.Code, rec.Body.String())
@@ -128,7 +128,7 @@ func TestWeightedUpdateRejectsBadWeights(t *testing.T) {
 // TestWeightedUpdateAtWeightCap: a weight of exactly MaxItemWeight is legal.
 func TestWeightedUpdateAtWeightCap(t *testing.T) {
 	s, _, h := newKeyedTestServer()
-	rec := post(t, h, "/update", fmt.Sprintf(`[{"v": 1, "w": %d}]`, cluster.MaxItemWeight))
+	rec := post(t, h, "/v1/update", fmt.Sprintf(`[{"v": 1, "w": %d}]`, cluster.MaxItemWeight))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
 	}
@@ -152,7 +152,7 @@ func TestWeightedKeyedFallbackGuard(t *testing.T) {
 	})
 	h := cluster.NewKeyedServerHandler(st)
 
-	rec := post(t, h, "/k/m/update", `[{"v": 1, "w": 100}]`)
+	rec := post(t, h, "/v1/k/m/update", `[{"v": 1, "w": 100}]`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("in-guard expansion: status = %d, body %s", rec.Code, rec.Body.String())
 	}
@@ -160,7 +160,7 @@ func TestWeightedKeyedFallbackGuard(t *testing.T) {
 		t.Fatalf("expanded count = %d, want 100", n)
 	}
 
-	rec = post(t, h, "/k/m/update", fmt.Sprintf(`[{"v": 1, "w": %d}]`, int64(summary.MaxExpansionWeight)+1))
+	rec = post(t, h, "/v1/k/m/update", fmt.Sprintf(`[{"v": 1, "w": %d}]`, int64(summary.MaxExpansionWeight)+1))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("beyond-guard expansion: status = %d, want 400 (body %s)", rec.Code, rec.Body.String())
 	}

@@ -50,16 +50,16 @@ func ExampleNewSharded() {
 	// p99 within 1%: true
 }
 
-// ExampleEncodeGK round-trips a summary through the binary wire format
+// ExampleSnapshot round-trips a summary through the binary wire format
 // (DESIGN.md documents the layout): the restored copy answers queries
 // identically and keeps accepting updates.
-func ExampleEncodeGK() {
+func ExampleSnapshot() {
 	s := quantilelb.NewGK(0.05)
 	for i := 1; i <= 1000; i++ {
 		s.Update(float64(i))
 	}
-	payload, _ := quantilelb.EncodeGK(s)
-	restored, _ := quantilelb.DecodeGK(payload)
+	payload, _ := quantilelb.Snapshot(s)
+	restored, _ := quantilelb.RestoreAny(payload)
 	a, _ := s.Query(0.5)
 	b, _ := restored.Query(0.5)
 	fmt.Println("counts equal:", restored.Count() == s.Count())

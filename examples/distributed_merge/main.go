@@ -7,7 +7,7 @@
 // Three writer nodes (sharded GK summaries behind the real HTTP handler)
 // ingest differently skewed slices of the key space, as happens when the
 // upstream data is range- or time-partitioned. An aggregator pulls each
-// node's binary /snapshot (ETag'd, so an idle node ships zero bytes) and
+// node's binary /v1/snapshot (ETag'd, so an idle node ships zero bytes) and
 // merges them under the COMBINE rule eps_global = max_i eps_i — distribution
 // adds no error. The globally merged summary then drives range partitioning
 // for the next stage: each partition receives an approximately equal share
@@ -16,7 +16,7 @@
 //
 // The node-to-node push path is shown too: a worker that finishes a local
 // batch PRUNEs its summary to cap the message size and POSTs it to a node's
-// /merge endpoint.
+// /v1/merge endpoint.
 package main
 
 import (
@@ -83,15 +83,15 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	resp, err := http.Post(urls[0]+"/merge", "application/octet-stream", bytes.NewReader(payload))
+	resp, err := http.Post(urls[0]+"/v1/merge", "application/octet-stream", bytes.NewReader(payload))
 	if err != nil {
 		panic(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		panic(fmt.Sprintf("POST /merge: status %s", resp.Status))
+		panic(fmt.Sprintf("POST /v1/merge: status %s", resp.Status))
 	}
-	fmt.Printf("pushed a pruned %d-tuple summary of %d items to node 0 via POST /merge (%d bytes)\n",
+	fmt.Printf("pushed a pruned %d-tuple summary of %d items to node 0 via POST /v1/merge (%d bytes)\n",
 		local.StoredCount(), perWorker, len(payload))
 
 	// The aggregation tier: pull every node's snapshot and merge.
@@ -140,18 +140,18 @@ func main() {
 	fmt.Println("is balanced — computed from pulled wire snapshots instead of a shuffle of the raw data.")
 }
 
-// postBatch ships one JSON batch to a node's /update endpoint.
+// postBatch ships one JSON batch to a node's /v1/update endpoint.
 func postBatch(url string, batch []float64) {
 	body, err := json.Marshal(batch)
 	if err != nil {
 		panic(err)
 	}
-	resp, err := http.Post(url+"/update", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/update", "application/json", bytes.NewReader(body))
 	if err != nil {
 		panic(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		panic(fmt.Sprintf("POST /update: status %s", resp.Status))
+		panic(fmt.Sprintf("POST /v1/update: status %s", resp.Status))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	quantilelb "quantilelb"
+	"quantilelb/internal/kll"
 	"quantilelb/internal/rank"
 	"quantilelb/internal/stream"
 )
@@ -66,15 +67,15 @@ func TestEndToEndPipeline(t *testing.T) {
 		for _, x := range full.Items()[w*perShard : (w+1)*perShard] {
 			shard.Update(x)
 		}
-		payload, err := quantilelb.EncodeKLL(shard)
+		payload, err := quantilelb.Snapshot(shard)
 		if err != nil {
 			t.Fatalf("shard %d encode: %v", w, err)
 		}
-		received, err := quantilelb.DecodeKLL(payload)
+		received, err := quantilelb.RestoreAny(payload)
 		if err != nil {
 			t.Fatalf("shard %d decode: %v", w, err)
 		}
-		if err := coordinator.Merge(received); err != nil {
+		if err := coordinator.Merge(received.(*kll.Sketch[float64])); err != nil {
 			t.Fatalf("shard %d merge: %v", w, err)
 		}
 	}

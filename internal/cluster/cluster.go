@@ -13,7 +13,7 @@
 // accuracy max_i eps_i — no error is added by distribution itself.
 //
 // Pull loop. The Aggregator periodically fetches each configured Source
-// (normally GET /snapshot of a quantileserver, via HTTPSource). Fetches carry
+// (normally GET /v1/snapshot of a quantileserver, via HTTPSource). Fetches carry
 // the previous ETag, so an idle node answers 304 and ships no bytes. The
 // merged view is rebuilt from the latest payload of every peer — decoding
 // fresh summaries each time, so merging (which mutates the receiver) never
@@ -25,7 +25,7 @@
 // successful snapshot (stale-but-available beats absent: quantile summaries
 // are monotone accumulations, so a stale substream only under-counts recent
 // items); the error is recorded per peer and surfaced via Status and the
-// aggregator's /stats endpoint. A peer that has never been reached
+// aggregator's /v1/stats endpoint. A peer that has never been reached
 // contributes nothing until its first successful pull.
 package cluster
 
@@ -76,9 +76,9 @@ const (
 	deltaReprobeEvery  = 32
 )
 
-// HTTPSource pulls GET {URL}/snapshot from a quantileserver (or another
-// aggregator — the tier composes into trees, since aggregators re-export
-// /snapshot). An HTTPSource carries per-peer negotiation state and must not
+// HTTPSource pulls GET {URL}/v1/snapshot (or {URL}{Path}) from a
+// quantileserver (or another aggregator — the tier composes into trees,
+// since aggregators re-export /v1/snapshot). An HTTPSource carries per-peer negotiation state and must not
 // be copied after first use.
 type HTTPSource struct {
 	// URL is the peer's base URL, e.g. "http://10.0.0.7:8080".
@@ -284,7 +284,7 @@ type fetchOutcome struct {
 }
 
 // fetchRound fetches every peer's snapshot concurrently — with no lock held,
-// so a blackholed peer never makes Status (and GET /stats, the endpoint that
+// so a blackholed peer never makes Status (and GET /v1/stats, the endpoint that
 // diagnoses exactly that incident) wait out the HTTP timeout — then records
 // the outcomes into the peer states under mu. It reports whether any peer
 // shipped a new payload, plus the per-peer fetch errors. The caller must
@@ -408,8 +408,9 @@ func New(sources ...Source) *Aggregator {
 	return a
 }
 
-// NewHTTP returns an aggregator pulling GET /snapshot from each peer base
-// URL with the given client (nil for http.DefaultClient).
+// NewHTTP returns an aggregator pulling GET /v1/snapshot from each peer base
+// URL with the given client (nil for the shared default client, which has
+// a 10s timeout; see HTTPSource.Client).
 func NewHTTP(client *http.Client, peerURLs ...string) *Aggregator {
 	srcs := make([]Source, len(peerURLs))
 	for i, u := range peerURLs {
@@ -674,7 +675,7 @@ func (a *Aggregator) SnapshotPayload() ([]byte, int64, error) {
 
 // Status reports the per-peer pull state for monitoring. It never waits on
 // a pull round in flight — only on the brief field-update sections — so
-// /stats stays responsive while a dead peer times out.
+// /v1/stats stays responsive while a dead peer times out.
 func (a *Aggregator) Status() []PeerStatus {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -682,16 +683,17 @@ func (a *Aggregator) Status() []PeerStatus {
 }
 
 // NewAggregatorHandler returns the aggregator's HTTP API: the same read
-// endpoints a server node exposes (/quantile, /rank, /cdf — identical JSON
-// shapes, so clients need not know which tier they query), plus:
+// endpoints a server node exposes (/v1/quantile, /v1/rank, /v1/cdf —
+// identical JSON shapes, so clients need not know which tier they query),
+// plus:
 //
-//	GET  /stats     merged view size and per-peer pull health
-//	GET  /snapshot  the merged view re-exported as a wire payload (ETag'd by
-//	                a content hash, deltas served against recent bases), so
-//	                aggregators compose into trees
-//	POST /pull      force a pull round now; 502 when every peer failed
+//	GET  /v1/stats     merged view size and per-peer pull health
+//	GET  /v1/snapshot  the merged view re-exported as a wire payload (ETag'd
+//	                   by a content hash, deltas served against recent
+//	                   bases), so aggregators compose into trees
+//	POST /v1/pull      force a pull round now; 502 when every peer failed
 //
-// Every route is also mounted under the versioned /v1/ prefix. Combiners
+// Combiners
 // with pushing children use NewTreeAggregatorHandler instead, which adds the
 // POST /v1/child/{name}/snapshot route on top of this surface.
 func NewAggregatorHandler(a *Aggregator) http.Handler {
@@ -705,7 +707,7 @@ func NewAggregatorHandler(a *Aggregator) http.Handler {
 func registerAggregatorAPI(mux *http.ServeMux, a *Aggregator) {
 	snaps := &snapCache{}
 	registerReadAPI(mux, a)
-	handleBoth(mux, "GET /stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		stats := map[string]any{
 			"n":            a.Count(),
 			"stored":       a.StoredCount(),
@@ -723,10 +725,10 @@ func registerAggregatorAPI(mux *http.ServeMux, a *Aggregator) {
 		}
 		writeJSON(w, stats)
 	})
-	handleBoth(mux, "GET /snapshot", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		serveSnapshot(w, r, snaps, a)
 	})
-	handleBoth(mux, "POST /pull", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/pull", func(w http.ResponseWriter, r *http.Request) {
 		err := a.PullOnce(r.Context())
 		if err != nil && a.ContributingPeers() == 0 {
 			httpError(w, http.StatusBadGateway, "pull failed: %v", err)

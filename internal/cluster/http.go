@@ -7,29 +7,10 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"quantilelb/internal/encoding"
 )
-
-// APIVersionPrefix is the path prefix of the versioned HTTP surface. Every
-// route of the cluster tier is mounted twice: once under its legacy
-// unversioned path (PR3/PR4 clients) and once under /v1/ — the two serve
-// byte-identical responses (pinned by TestV1RouteEquivalence), so clients can
-// migrate route by route.
-const APIVersionPrefix = "/v1"
-
-// handleBoth mounts one handler under both the legacy unversioned pattern
-// and its /v1/ alias. pattern must be a "METHOD /path" ServeMux pattern.
-func handleBoth(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	mux.HandleFunc(pattern, h)
-	method, path, ok := strings.Cut(pattern, " ")
-	if !ok {
-		panic("cluster: route pattern without a method: " + pattern)
-	}
-	mux.HandleFunc(method+" "+APIVersionPrefix+path, h)
-}
 
 // readView is the slice of the summary API both HTTP tiers serve reads from:
 // the sharded single-node summary and the cluster aggregator both satisfy it.
@@ -40,18 +21,18 @@ type readView interface {
 	Count() int
 }
 
-// registerReadAPI mounts the shared read endpoints (/quantile, /rank, /cdf)
-// on mux. The JSON shapes are identical on every node of the tier, so a
-// client needs no knowledge of whether it is talking to a single server or to
-// an aggregator.
+// registerReadAPI mounts the shared read endpoints (/v1/quantile, /v1/rank,
+// /v1/cdf) on mux. The JSON shapes are identical on every node of the tier,
+// so a client needs no knowledge of whether it is talking to a single server
+// or to an aggregator.
 func registerReadAPI(mux *http.ServeMux, v readView) {
-	handleBoth(mux, "GET /quantile", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/quantile", func(w http.ResponseWriter, r *http.Request) {
 		handleQuantile(v, w, r)
 	})
-	handleBoth(mux, "GET /rank", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/rank", func(w http.ResponseWriter, r *http.Request) {
 		handleRank(v, w, r)
 	})
-	handleBoth(mux, "GET /cdf", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/cdf", func(w http.ResponseWriter, r *http.Request) {
 		handleCDF(v, w, r)
 	})
 }
@@ -69,7 +50,7 @@ func handleQuantile(s readView, w http.ResponseWriter, r *http.Request) {
 	results := make([]result, 0, len(phis))
 	for _, raw := range phis {
 		phi, err := strconv.ParseFloat(raw, 64)
-		if err != nil || phi < 0 || phi > 1 {
+		if err != nil || math.IsNaN(phi) || phi < 0 || phi > 1 {
 			httpError(w, http.StatusBadRequest, "bad phi %q: want a number in [0,1]", raw)
 			return
 		}
@@ -221,8 +202,8 @@ func contentETag(payload []byte) string {
 	return `"` + strconv.FormatUint(encoding.PayloadHash(payload), 36) + `"`
 }
 
-// serveSnapshot answers GET /v1/snapshot (and its legacy alias) with the
-// shared snapshot contract of the server and aggregator tiers:
+// serveSnapshot answers GET /v1/snapshot with the shared snapshot contract
+// of the server and aggregator tiers:
 //
 //   - If-None-Match revalidation against the content-derived ETag (304 ships
 //     no bytes; because the ETag hashes the payload, it also survives node

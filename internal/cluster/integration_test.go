@@ -49,13 +49,13 @@ func postBatch(t *testing.T, url string, batch []float64) {
 	if err != nil {
 		t.Fatalf("marshaling batch: %v", err)
 	}
-	resp, err := http.Post(url+"/update", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/update", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /update: %v", err)
+		t.Fatalf("POST /v1/update: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /update: status %s", resp.Status)
+		t.Fatalf("POST /v1/update: status %s", resp.Status)
 	}
 }
 
@@ -142,9 +142,9 @@ func TestAggregatorHTTPAPI(t *testing.T) {
 		Results []struct{ Phi, Value float64 }
 		N       int
 	}
-	getJSON(t, aggSrv.URL+"/quantile?phi=0.5", &quantiles)
+	getJSON(t, aggSrv.URL+"/v1/quantile?phi=0.5", &quantiles)
 	if quantiles.N != 3000 || len(quantiles.Results) != 1 {
-		t.Fatalf("GET /quantile: n=%d results=%d, want 3000/1", quantiles.N, len(quantiles.Results))
+		t.Fatalf("GET /v1/quantile: n=%d results=%d, want 3000/1", quantiles.N, len(quantiles.Results))
 	}
 	// The union is 0..2999, so the true median is ~1500 and the merged view
 	// is 5%-accurate at worst.
@@ -157,9 +157,9 @@ func TestAggregatorHTTPAPI(t *testing.T) {
 		Contributing int
 		Peers        []cluster.PeerStatus
 	}
-	getJSON(t, aggSrv.URL+"/stats", &stats)
+	getJSON(t, aggSrv.URL+"/v1/stats", &stats)
 	if stats.Contributing != 3 || len(stats.Peers) != 3 {
-		t.Fatalf("GET /stats: contributing=%d peers=%d, want 3/3", stats.Contributing, len(stats.Peers))
+		t.Fatalf("GET /v1/stats: contributing=%d peers=%d, want 3/3", stats.Contributing, len(stats.Peers))
 	}
 	for _, p := range stats.Peers {
 		if !p.Healthy || p.Kind != "gk" || p.N != 1000 {
@@ -167,9 +167,9 @@ func TestAggregatorHTTPAPI(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(aggSrv.URL + "/snapshot")
+	resp, err := http.Get(aggSrv.URL + "/v1/snapshot")
 	if err != nil {
-		t.Fatalf("GET /snapshot: %v", err)
+		t.Fatalf("GET /v1/snapshot: %v", err)
 	}
 	defer resp.Body.Close()
 	var buf bytes.Buffer

@@ -60,24 +60,23 @@ func requestKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 // NewKeyedServerHandler returns the keyed (multi-tenant) HTTP API of a
 // writer node, serving the given store:
 //
-//	POST /k/{key}/update    ingest a batch into one key (same body formats
-//	                        as POST /update: floats, JSON array, weighted
-//	                        {v,w} JSON array, ?x=)
-//	GET  /k/{key}/quantile  per-key quantiles, same JSON shape as /quantile
-//	GET  /k/{key}/rank      per-key rank estimate
-//	GET  /k/{key}/cdf       per-key CDF points
-//	GET  /keys              {"keys":[...],"count":N}
-//	GET  /store/stats       key count, retained bytes vs budget, evictions
-//	GET  /store/snapshot    the whole store as one KindStore container
-//	                        payload, ETag'd by the store's content version
-//	POST /store/merge       ingest a peer's KindStore container, merging
-//	                        per key under the COMBINE rule
+//	POST /v1/k/{key}/update    ingest a batch into one key (same body
+//	                           formats as POST /v1/update: floats, JSON
+//	                           array, weighted {v,w} JSON array, ?x=)
+//	GET  /v1/k/{key}/quantile  per-key quantiles, same JSON shape as
+//	                           /v1/quantile
+//	GET  /v1/k/{key}/rank      per-key rank estimate
+//	GET  /v1/k/{key}/cdf       per-key CDF points
+//	GET  /v1/keys              {"keys":[...],"count":N}
+//	GET  /v1/store/stats       key count, retained bytes vs budget, evictions
+//	GET  /v1/store/snapshot    the whole store as one KindStore container
+//	                           payload, ETag'd by the store's content version
+//	POST /v1/store/merge       ingest a peer's KindStore container, merging
+//	                           per key under the COMBINE rule
 //
 // Keys are opaque strings up to MaxKeyBytes (URL-escaped in paths). A query
 // on a key that does not exist answers 404 exactly like an empty
-// single-stream summary. Every route is also mounted under the versioned
-// /v1/ prefix (GET /v1/k/{key}/quantile, GET /v1/store/snapshot, …) serving
-// identical responses. Use NewStoreServerHandler to serve the keyed API
+// single-stream summary. Use NewStoreServerHandler to serve the keyed API
 // next to a single-stream summary on one mux (what cmd/quantileserver does).
 func NewKeyedServerHandler(st *store.Store) http.Handler {
 	mux := http.NewServeMux()
@@ -97,11 +96,10 @@ func NewStoreServerHandler[S sharded.Mergeable[float64, S]](s *sharded.Sharded[f
 	return mux
 }
 
-// registerKeyedAPI mounts the keyed endpoints on mux, each under both its
-// legacy path and its /v1/ alias.
+// registerKeyedAPI mounts the keyed endpoints on mux.
 func registerKeyedAPI(mux *http.ServeMux, st *store.Store) {
 	snaps := &snapCache{}
-	handleBoth(mux, "POST /k/{key}/update", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/k/{key}/update", func(w http.ResponseWriter, r *http.Request) {
 		key, ok := requestKey(w, r)
 		if !ok {
 			return
@@ -142,20 +140,20 @@ func registerKeyedAPI(mux *http.ServeMux, st *store.Store) {
 			serve(keyView{st: st, key: key}, w, r)
 		}
 	}
-	handleBoth(mux, "GET /k/{key}/quantile", forKey(handleQuantile))
-	handleBoth(mux, "GET /k/{key}/rank", forKey(handleRank))
-	handleBoth(mux, "GET /k/{key}/cdf", forKey(handleCDF))
-	handleBoth(mux, "GET /keys", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/k/{key}/quantile", forKey(handleQuantile))
+	mux.HandleFunc("GET /v1/k/{key}/rank", forKey(handleRank))
+	mux.HandleFunc("GET /v1/k/{key}/cdf", forKey(handleCDF))
+	mux.HandleFunc("GET /v1/keys", func(w http.ResponseWriter, r *http.Request) {
 		keys := st.Keys()
 		writeJSON(w, map[string]any{"keys": keys, "count": len(keys)})
 	})
-	handleBoth(mux, "GET /store/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/store/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, storeStatsPayload(st.Stats()))
 	})
-	handleBoth(mux, "GET /store/snapshot", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/store/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		serveSnapshot(w, r, snaps, st)
 	})
-	handleBoth(mux, "POST /store/merge", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/store/merge", func(w http.ResponseWriter, r *http.Request) {
 		body, err := readBody(w, r)
 		if err != nil {
 			return
@@ -217,7 +215,7 @@ type KeyedAggregator struct {
 }
 
 // NewKeyed returns a keyed aggregator over the given sources, which must
-// yield KindStore container payloads (normally GET /store/snapshot of a
+// yield KindStore container payloads (normally GET /v1/store/snapshot of a
 // keyed writer node). The merged view is empty until the first PullOnce.
 func NewKeyed(sources ...Source) *KeyedAggregator {
 	a := &KeyedAggregator{}
@@ -482,13 +480,12 @@ func (v aggKeyView) Count() int                        { return v.a.Count(v.key)
 // same per-key read endpoints a keyed writer node exposes (identical JSON
 // shapes, so clients need not know which tier they query), plus:
 //
-//	GET  /keys            every key any peer holds
-//	GET  /stats           merged-view size and per-peer pull health
-//	GET  /store/snapshot  the merged view re-exported as a KindStore
-//	                      container (keyed aggregators compose into trees)
-//	POST /pull            force a pull round now; 502 when every peer failed
-//
-// Every route is also mounted under the versioned /v1/ prefix.
+//	GET  /v1/keys            every key any peer holds
+//	GET  /v1/stats           merged-view size and per-peer pull health
+//	GET  /v1/store/snapshot  the merged view re-exported as a KindStore
+//	                         container (keyed aggregators compose into trees)
+//	POST /v1/pull            force a pull round now; 502 when every peer
+//	                         failed
 func NewKeyedAggregatorHandler(a *KeyedAggregator) http.Handler {
 	snaps := &snapCache{}
 	mux := http.NewServeMux()
@@ -501,14 +498,14 @@ func NewKeyedAggregatorHandler(a *KeyedAggregator) http.Handler {
 			serve(aggKeyView{a: a, key: key}, w, r)
 		}
 	}
-	handleBoth(mux, "GET /k/{key}/quantile", forKey(handleQuantile))
-	handleBoth(mux, "GET /k/{key}/rank", forKey(handleRank))
-	handleBoth(mux, "GET /k/{key}/cdf", forKey(handleCDF))
-	handleBoth(mux, "GET /keys", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/k/{key}/quantile", forKey(handleQuantile))
+	mux.HandleFunc("GET /v1/k/{key}/rank", forKey(handleRank))
+	mux.HandleFunc("GET /v1/k/{key}/cdf", forKey(handleCDF))
+	mux.HandleFunc("GET /v1/keys", func(w http.ResponseWriter, r *http.Request) {
 		keys := a.Keys()
 		writeJSON(w, map[string]any{"keys": keys, "count": len(keys)})
 	})
-	handleBoth(mux, "GET /stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{
 			"keys":         len(a.Keys()),
 			"n":            a.TotalCount(),
@@ -517,10 +514,10 @@ func NewKeyedAggregatorHandler(a *KeyedAggregator) http.Handler {
 			"peers":        a.Status(),
 		})
 	})
-	handleBoth(mux, "GET /store/snapshot", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/store/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		serveSnapshot(w, r, snaps, a)
 	})
-	handleBoth(mux, "POST /pull", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/pull", func(w http.ResponseWriter, r *http.Request) {
 		err := a.PullOnce(r.Context())
 		if err != nil && a.ContributingPeers() == 0 {
 			httpError(w, http.StatusBadGateway, "pull failed: %v", err)

@@ -40,13 +40,13 @@ func postKeyedBatch(t *testing.T, baseURL, key string, items []float64) {
 			fmt.Fprintf(body, "%g", items[j])
 		}
 		body.WriteByte(']')
-		resp, err := http.Post(baseURL+"/k/"+key+"/update", "application/json", body)
+		resp, err := http.Post(baseURL+"/v1/k/"+key+"/update", "application/json", body)
 		if err != nil {
-			t.Fatalf("POST /k/%s/update: %v", key, err)
+			t.Fatalf("POST /v1/k/%s/update: %v", key, err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /k/%s/update: status %d", key, resp.StatusCode)
+			t.Fatalf("POST /v1/k/%s/update: status %d", key, resp.StatusCode)
 		}
 	}
 }

@@ -44,49 +44,49 @@ func TestKeyedServerEndpoints(t *testing.T) {
 	defer srv.Close()
 
 	// Ingest through every body format.
-	out := doJSON(t, "POST", srv.URL+"/k/lat.api/update", []byte("1 2 3, 4\n5"), "", 200)
+	out := doJSON(t, "POST", srv.URL+"/v1/k/lat.api/update", []byte("1 2 3, 4\n5"), "", 200)
 	if out["accepted"].(float64) != 5 {
 		t.Fatalf("plain-text accepted = %v", out["accepted"])
 	}
-	out = doJSON(t, "POST", srv.URL+"/k/lat.api/update", []byte("[6,7,8]"), "application/json", 200)
+	out = doJSON(t, "POST", srv.URL+"/v1/k/lat.api/update", []byte("[6,7,8]"), "application/json", 200)
 	if out["accepted"].(float64) != 3 || out["n"].(float64) != 8 {
 		t.Fatalf("JSON batch: %v", out)
 	}
-	doJSON(t, "POST", srv.URL+"/k/lat.db/update?x=10&x=20", nil, "", 200)
+	doJSON(t, "POST", srv.URL+"/v1/k/lat.db/update?x=10&x=20", nil, "", 200)
 
 	// Per-key reads are isolated.
-	out = doJSON(t, "GET", srv.URL+"/k/lat.api/quantile?phi=1", nil, "", 200)
+	out = doJSON(t, "GET", srv.URL+"/v1/k/lat.api/quantile?phi=1", nil, "", 200)
 	results := out["results"].([]any)
 	if v := results[0].(map[string]any)["value"].(float64); v != 8 {
 		t.Fatalf("api max = %v, want 8", v)
 	}
-	out = doJSON(t, "GET", srv.URL+"/k/lat.db/rank?q=15", nil, "", 200)
+	out = doJSON(t, "GET", srv.URL+"/v1/k/lat.db/rank?q=15", nil, "", 200)
 	if out["rank"].(float64) != 1 || out["n"].(float64) != 2 {
 		t.Fatalf("db rank: %v", out)
 	}
-	out = doJSON(t, "GET", srv.URL+"/k/lat.db/cdf?q=25", nil, "", 200)
+	out = doJSON(t, "GET", srv.URL+"/v1/k/lat.db/cdf?q=25", nil, "", 200)
 	if p := out["points"].([]any)[0].(map[string]any)["p"].(float64); p != 1 {
 		t.Fatalf("db cdf(25) = %v, want 1", p)
 	}
 
 	// Key listing and store stats.
-	out = doJSON(t, "GET", srv.URL+"/keys", nil, "", 200)
+	out = doJSON(t, "GET", srv.URL+"/v1/keys", nil, "", 200)
 	if out["count"].(float64) != 2 {
 		t.Fatalf("keys: %v", out)
 	}
-	out = doJSON(t, "GET", srv.URL+"/store/stats", nil, "", 200)
+	out = doJSON(t, "GET", srv.URL+"/v1/store/stats", nil, "", 200)
 	if out["keys"].(float64) != 2 || out["updates"].(float64) != 10 {
 		t.Fatalf("store stats: %v", out)
 	}
 
 	// Error paths: unknown key 404s like an empty summary, an oversized key
 	// and a NaN batch 400, and all errors carry the structured JSON shape.
-	out = doJSON(t, "GET", srv.URL+"/k/nope/quantile?phi=0.5", nil, "", 404)
+	out = doJSON(t, "GET", srv.URL+"/v1/k/nope/quantile?phi=0.5", nil, "", 404)
 	if _, ok := out["error"]; !ok {
 		t.Fatalf("404 body: %v", out)
 	}
-	doJSON(t, "GET", srv.URL+"/k/"+strings.Repeat("x", 300)+"/quantile?phi=0.5", nil, "", 400)
-	doJSON(t, "POST", srv.URL+"/k/lat.api/update", []byte("NaN"), "", 400)
+	doJSON(t, "GET", srv.URL+"/v1/k/"+strings.Repeat("x", 300)+"/quantile?phi=0.5", nil, "", 400)
+	doJSON(t, "POST", srv.URL+"/v1/k/lat.api/update", []byte("NaN"), "", 400)
 	// The rejected batch must not have been half-ingested.
 	if st.Count("lat.api") != 8 {
 		t.Fatalf("count after rejected batch = %d, want 8", st.Count("lat.api"))
@@ -108,7 +108,7 @@ func TestKeyedSnapshotMergeAndETag(t *testing.T) {
 	defer srvB.Close()
 
 	// Pull A's container and 304-revalidate it.
-	resp, err := http.Get(srvA.URL + "/store/snapshot")
+	resp, err := http.Get(srvA.URL + "/v1/store/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestKeyedSnapshotMergeAndETag(t *testing.T) {
 	if etag == "" {
 		t.Fatal("snapshot has no ETag")
 	}
-	req, _ := http.NewRequest("GET", srvA.URL+"/store/snapshot", nil)
+	req, _ := http.NewRequest("GET", srvA.URL+"/v1/store/snapshot", nil)
 	req.Header.Set("If-None-Match", etag)
 	resp2, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestKeyedSnapshotMergeAndETag(t *testing.T) {
 	}
 
 	// Push A's container into B: per-key COMBINE merge plus key adoption.
-	out := doJSON(t, "POST", srvB.URL+"/store/merge", payload, "application/octet-stream", 200)
+	out := doJSON(t, "POST", srvB.URL+"/v1/store/merge", payload, "application/octet-stream", 200)
 	if out["merged_keys"].(float64) != 2 || out["keys"].(float64) != 3 {
 		t.Fatalf("merge response: %v", out)
 	}
@@ -142,7 +142,7 @@ func TestKeyedSnapshotMergeAndETag(t *testing.T) {
 		t.Fatalf("merged counts: shared=%d only-a=%d", b.Count("shared"), b.Count("only-a"))
 	}
 	// Garbage payloads are rejected with a structured 400.
-	doJSON(t, "POST", srvB.URL+"/store/merge", []byte("garbage"), "", 400)
+	doJSON(t, "POST", srvB.URL+"/v1/store/merge", []byte("garbage"), "", 400)
 }
 
 func TestKeyedAggregatorHandlerEndpoints(t *testing.T) {
@@ -158,29 +158,29 @@ func TestKeyedAggregatorHandlerEndpoints(t *testing.T) {
 	defer aggSrv.Close()
 
 	// Before any pull the view is empty; /pull forces one.
-	out := doJSON(t, "POST", aggSrv.URL+"/pull", nil, "", 200)
+	out := doJSON(t, "POST", aggSrv.URL+"/v1/pull", nil, "", 200)
 	if out["keys"].(float64) != 1 || out["n"].(float64) != 1000 {
 		t.Fatalf("pull response: %v", out)
 	}
-	out = doJSON(t, "GET", aggSrv.URL+"/k/m/quantile?phi=0.5", nil, "", 200)
+	out = doJSON(t, "GET", aggSrv.URL+"/v1/k/m/quantile?phi=0.5", nil, "", 200)
 	v := out["results"].([]any)[0].(map[string]any)["value"].(float64)
 	if v < 400 || v > 600 {
 		t.Fatalf("merged median %v out of range", v)
 	}
-	doJSON(t, "GET", aggSrv.URL+"/k/m/rank?q=500", nil, "", 200)
-	doJSON(t, "GET", aggSrv.URL+"/k/m/cdf?q=500", nil, "", 200)
-	out = doJSON(t, "GET", aggSrv.URL+"/keys", nil, "", 200)
+	doJSON(t, "GET", aggSrv.URL+"/v1/k/m/rank?q=500", nil, "", 200)
+	doJSON(t, "GET", aggSrv.URL+"/v1/k/m/cdf?q=500", nil, "", 200)
+	out = doJSON(t, "GET", aggSrv.URL+"/v1/keys", nil, "", 200)
 	if out["count"].(float64) != 1 {
 		t.Fatalf("agg keys: %v", out)
 	}
-	out = doJSON(t, "GET", aggSrv.URL+"/stats", nil, "", 200)
+	out = doJSON(t, "GET", aggSrv.URL+"/v1/stats", nil, "", 200)
 	if out["contributing"].(float64) != 1 {
 		t.Fatalf("agg stats: %v", out)
 	}
 
 	// The merged view re-exports as a container a second-tier keyed
 	// aggregator (or a store) can ingest: trees compose.
-	resp, err := http.Get(aggSrv.URL + "/store/snapshot")
+	resp, err := http.Get(aggSrv.URL + "/v1/store/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 	"quantilelb/internal/sharded"
 )
 
-// MaxBodyBytes caps the request body of ingestion endpoints (/update and
-// /merge) at 64 MiB.
+// MaxBodyBytes caps the request body of ingestion endpoints (/v1/update and
+// /v1/merge) at 64 MiB.
 const MaxBodyBytes = 64 << 20
 
 // MaxItemWeight caps the weight a single {v,w} batch element may carry.
@@ -30,39 +30,36 @@ const MaxItemWeight = int64(1) << 32
 // NewServerHandler returns the HTTP API of one writer node of the
 // distributed tier, serving reads and writes of the given sharded summary:
 //
-//	POST /update    body: whitespace/comma-separated float64s, or — with
-//	                Content-Type: application/json — a JSON array of numbers,
-//	                or a JSON array of {"v": value, "w": weight} objects for
-//	                weighted (pre-counted) batches: each value is ingested as
-//	                w stream items through the summary's native weighted path
-//	                (error ≤ ε·W over the total weight W; "w" defaults to 1).
-//	                Either way the whole request is ingested as one batch
-//	                through the summary's bulk path. A single item can also
-//	                be sent as a ?x= query parameter. NaNs are rejected: they
-//	                have no place in a total order and would silently corrupt
-//	                a comparison-based summary. Weights that are NaN,
-//	                non-positive, non-integral, or above MaxItemWeight are
-//	                rejected whole with a structured 400.
-//	GET  /quantile  ?phi=0.5&phi=0.99 -> {"results":[{"phi":0.5,"value":...}],"n":...}
-//	GET  /rank      ?q=1.5            -> {"q":1.5,"rank":...,"n":...}
-//	GET  /cdf       ?q=1&q=2          -> {"points":[{"q":1,"p":...}],"n":...}
-//	GET  /stats                       -> shards, counts, snapshot freshness
-//	GET  /snapshot  the merged view as a binary wire payload
-//	                (internal/encoding format), ETag'd by a content hash of
-//	                the payload (so revalidation survives restarts);
-//	                If-None-Match yields 304 when nothing changed.
-//	                ?fresh=1 forces a snapshot rebuild first (used by tests
-//	                and pull-now tooling; the lock-free default serves the
-//	                published snapshot). ?mode=delta&base=<etag> asks for an
-//	                incremental KindDelta payload against a recently served
-//	                snapshot; see serveSnapshot.
-//	POST /merge     ingest a peer's wire payload: the decoded summary is
-//	                folded into one shard under the COMBINE rule
-//	                (eps_new = max), so nodes can push state to each other.
-//
-// Every route is also mounted under the versioned /v1/ prefix
-// (GET /v1/snapshot, POST /v1/merge, …) serving identical responses; new
-// clients should use /v1/, the unversioned paths are legacy aliases.
+//	POST /v1/update    body: whitespace/comma-separated float64s, or — with
+//	                   Content-Type: application/json — a JSON array of
+//	                   numbers, or a JSON array of {"v": value, "w": weight}
+//	                   objects for weighted (pre-counted) batches: each value
+//	                   is ingested as w stream items through the summary's
+//	                   native weighted path (error ≤ ε·W over the total
+//	                   weight W; "w" defaults to 1). Either way the whole
+//	                   request is ingested as one batch through the
+//	                   summary's bulk path. A single item can also be sent
+//	                   as a ?x= query parameter. NaNs are rejected: they have
+//	                   no place in a total order and would silently corrupt
+//	                   a comparison-based summary. Weights that are NaN,
+//	                   non-positive, non-integral, or above MaxItemWeight are
+//	                   rejected whole with a structured 400.
+//	GET  /v1/quantile  ?phi=0.5&phi=0.99 -> {"results":[{"phi":0.5,"value":...}],"n":...}
+//	GET  /v1/rank      ?q=1.5            -> {"q":1.5,"rank":...,"n":...}
+//	GET  /v1/cdf       ?q=1&q=2          -> {"points":[{"q":1,"p":...}],"n":...}
+//	GET  /v1/stats                       -> shards, counts, snapshot freshness
+//	GET  /v1/snapshot  the merged view as a binary wire payload
+//	                   (internal/encoding format), ETag'd by a content hash
+//	                   of the payload (so revalidation survives restarts);
+//	                   If-None-Match yields 304 when nothing changed.
+//	                   ?fresh=1 forces a snapshot rebuild first (used by
+//	                   tests and pull-now tooling; the lock-free default
+//	                   serves the published snapshot). ?mode=delta&base=<etag>
+//	                   asks for an incremental KindDelta payload against a
+//	                   recently served snapshot; see serveSnapshot.
+//	POST /v1/merge     ingest a peer's wire payload: the decoded summary is
+//	                   folded into one shard under the COMBINE rule
+//	                   (eps_new = max), so nodes can push state to each other.
 //
 // The aggregator (cmd/quantileagg) serves the same read API over the merged
 // view of many such nodes.
@@ -72,16 +69,15 @@ func NewServerHandler[S sharded.Mergeable[float64, S]](s *sharded.Sharded[float6
 	return mux
 }
 
-// registerServerAPI mounts the single-stream writer-node endpoints on mux,
-// each under both its legacy path and its /v1/ alias; NewServerHandler and
-// NewStoreServerHandler both build on it.
+// registerServerAPI mounts the single-stream writer-node endpoints on mux;
+// NewServerHandler and NewStoreServerHandler both build on it.
 func registerServerAPI[S sharded.Mergeable[float64, S]](mux *http.ServeMux, s *sharded.Sharded[float64, S]) {
 	snaps := &snapCache{}
-	handleBoth(mux, "POST /update", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/update", func(w http.ResponseWriter, r *http.Request) {
 		handleUpdate(s, w, r)
 	})
 	registerReadAPI(mux, s)
-	handleBoth(mux, "GET /stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		st := s.Stats()
 		writeJSON(w, map[string]any{
 			"shards":          st.Shards,
@@ -92,10 +88,10 @@ func registerServerAPI[S sharded.Mergeable[float64, S]](mux *http.ServeMux, s *s
 			"refreshes":       st.Refreshes,
 		})
 	})
-	handleBoth(mux, "GET /snapshot", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		handleSnapshot(s, snaps, w, r)
 	})
-	handleBoth(mux, "POST /merge", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/merge", func(w http.ResponseWriter, r *http.Request) {
 		handleMerge(s, w, r)
 	})
 }

@@ -19,7 +19,7 @@ package cluster
 //
 // Backpressure. A combiner round is bounded by TreeConfig.RoundTimeout:
 // children that do not answer within the deadline are shed from the round
-// (the shed counter ticks, visible in /stats) and keep contributing their
+// (the shed counter ticks, visible in /v1/stats) and keep contributing their
 // last successful snapshot — the stale-serving discipline the flat
 // aggregator already follows, which also means the combiner's own parent
 // keeps revalidating 304 against an unchanged merged view instead of
@@ -206,7 +206,7 @@ func NewTreeAggregatorHandler(a *Aggregator, children ...*PushSource) http.Handl
 	}
 	mux := http.NewServeMux()
 	registerAggregatorAPI(mux, a)
-	handleBoth(mux, "POST /child/{name}/snapshot", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/child/{name}/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		ps := byName[r.PathValue("name")]
 		if ps == nil {
 			httpError(w, http.StatusNotFound, "unknown child %q", r.PathValue("name"))

@@ -253,7 +253,7 @@ func TestTreeBackpressureSheds(t *testing.T) {
 }
 
 // TestPushSourceReplacement: pushed snapshots replace the child's retained
-// payload (repeat pushes never double-count, unlike POST /merge), unknown
+// payload (repeat pushes never double-count, unlike POST /v1/merge), unknown
 // children 404, and non-wire payloads are rejected.
 func TestPushSourceReplacement(t *testing.T) {
 	child := cluster.NewPushSource("leaf-a")

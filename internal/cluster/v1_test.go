@@ -1,12 +1,11 @@
 package cluster_test
 
-// Pins of the redesigned /v1/ API surface: every legacy unversioned route
-// serves byte-identical responses to its /v1/ alias (so PR3/PR4 clients and
-// the versioned surface cannot drift), snapshot ETags are derived from
-// payload content (a restarted node with identical state answers 304), the
-// delta negotiation of GET /v1/snapshot round-trips over real HTTP, and the
-// structured error envelope ({"error": message, "code": machine-code}) is
-// uniform across every cluster handler.
+// Pins of the /v1/ API surface: every documented route is mounted under /v1
+// and nowhere else, snapshot ETags are derived from payload content (a
+// restarted node with identical state answers 304), the delta negotiation
+// of GET /v1/snapshot round-trips over real HTTP, and the structured error
+// envelope ({"error": message, "code": machine-code}) is uniform across
+// every cluster handler.
 
 import (
 	"bytes"
@@ -86,7 +85,7 @@ func newV1TestStack(t *testing.T) *v1TestStack {
 	aggSrv := httptest.NewServer(cluster.NewAggregatorHandler(agg))
 	t.Cleanup(aggSrv.Close)
 
-	kagg := cluster.NewKeyed(&cluster.HTTPSource{URL: srv.URL, Path: "/store/snapshot"})
+	kagg := cluster.NewKeyed(&cluster.HTTPSource{URL: srv.URL, Path: "/v1/store/snapshot"})
 	if err := kagg.PullOnce(context.Background()); err != nil {
 		t.Fatalf("keyed aggregator pull: %v", err)
 	}
@@ -96,102 +95,72 @@ func newV1TestStack(t *testing.T) *v1TestStack {
 	return &v1TestStack{server: srv, agg: aggSrv, keyedAgg: kaggSrv}
 }
 
-// TestV1RouteEquivalence: every route answers byte-identically under its
-// legacy path and its /v1/ alias — read routes on one instance (idempotent),
-// mutating routes on twin identically-ingested stacks.
-func TestV1RouteEquivalence(t *testing.T) {
+// TestV1RouteTable: every documented route answers on its tier under /v1,
+// and its unversioned spelling is not mounted (the mux answers 404).
+func TestV1RouteTable(t *testing.T) {
 	stack := newV1TestStack(t)
-	tierOf := func(tier string) *httptest.Server {
-		switch tier {
-		case "server":
-			return stack.server
-		case "agg":
-			return stack.agg
-		default:
-			return stack.keyedAgg
-		}
+	child := cluster.NewPushSource("leaf-a")
+	root, err := cluster.NewTree(cluster.TreeConfig{Eps: 0.02, Height: 2, Level: 2}, child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	treeSrv := httptest.NewServer(cluster.NewTreeAggregatorHandler(root, child))
+	defer treeSrv.Close()
+	tiers := map[string]*httptest.Server{
+		"server": stack.server, "agg": stack.agg, "keyedAgg": stack.keyedAgg, "tree": treeSrv,
 	}
 
-	reads := []struct {
-		tier, route string
-	}{
-		{"server", "/quantile?phi=0.5&phi=0.99"},
-		{"server", "/rank?q=1200"},
-		{"server", "/cdf?q=100&q=3000"},
-		{"server", "/stats"},
-		{"server", "/snapshot"},
-		{"server", "/keys"},
-		{"server", "/store/stats"},
-		{"server", "/store/snapshot"},
-		{"server", "/k/lat.api/quantile?phi=0.9"},
-		{"server", "/k/lat.api/rank?q=500"},
-		{"server", "/k/lat.db/cdf?q=2500"},
-		{"agg", "/quantile?phi=0.5"},
-		{"agg", "/rank?q=1200"},
-		{"agg", "/cdf?q=100"},
-		{"agg", "/stats"},
-		{"agg", "/snapshot"},
-		{"keyedAgg", "/k/lat.api/quantile?phi=0.5"},
-		{"keyedAgg", "/keys"},
-		{"keyedAgg", "/stats"},
-		{"keyedAgg", "/store/snapshot"},
-		// Error paths must carry the identical envelope on both surfaces.
-		{"server", "/quantile?phi=2"},
-		{"server", "/k/absent/quantile?phi=0.5"},
-		{"server", "/snapshot?mode=bogus"},
-	}
-	for _, tc := range reads {
-		srv := tierOf(tc.tier)
-		legacy := doRaw(t, "GET", srv.URL+tc.route, nil, "")
-		v1 := doRaw(t, "GET", srv.URL+"/v1"+tc.route, nil, "")
-		if legacy.status != v1.status || legacy.contentType != v1.contentType ||
-			legacy.etag != v1.etag || !bytes.Equal(legacy.body, v1.body) {
-			t.Errorf("%s GET %s: legacy (%d, %q, %d bytes) != /v1 (%d, %q, %d bytes)",
-				tc.tier, tc.route, legacy.status, legacy.etag, len(legacy.body),
-				v1.status, v1.etag, len(v1.body))
-		}
-	}
-
-	// Mutating routes: twin stacks, legacy on one, /v1/ on the other.
 	g := gk.NewFloat64(0.01)
 	g.UpdateBatch(stream.NewGenerator(6).Shuffled(500).Items())
-	mergePayload, err := encoding.EncodeGK(g)
+	payload, err := encoding.Encode(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	storePayload, err := encoding.EncodeStore([]encoding.KeyedPayload{{Key: "lat.api", Payload: mergePayload}})
+	storePayload, err := encoding.EncodeStore([]encoding.KeyedPayload{{Key: "lat.api", Payload: payload}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	writes := []struct {
-		tier, route string
-		body        []byte
-		contentType string
+	routes := []struct {
+		tier, method, route string
+		body                []byte
 	}{
-		{"server", "/update", []byte("1 2 3"), ""},
-		{"server", "/update", []byte("[4,5]"), "application/json"},
-		{"server", "/merge", mergePayload, "application/octet-stream"},
-		{"server", "/k/lat.api/update", []byte("6 7"), ""},
-		{"server", "/store/merge", storePayload, "application/octet-stream"},
-		{"agg", "/pull", nil, ""},
-		{"keyedAgg", "/pull", nil, ""},
+		{"server", "POST", "/update", []byte("1 2 3")},
+		{"server", "GET", "/quantile?phi=0.5", nil},
+		{"server", "GET", "/rank?q=1200", nil},
+		{"server", "GET", "/cdf?q=100", nil},
+		{"server", "GET", "/stats", nil},
+		{"server", "GET", "/snapshot", nil},
+		{"server", "POST", "/merge", payload},
+		{"server", "POST", "/k/lat.api/update", []byte("6 7")},
+		{"server", "GET", "/k/lat.api/quantile?phi=0.9", nil},
+		{"server", "GET", "/k/lat.api/rank?q=500", nil},
+		{"server", "GET", "/k/lat.db/cdf?q=2500", nil},
+		{"server", "GET", "/keys", nil},
+		{"server", "GET", "/store/stats", nil},
+		{"server", "GET", "/store/snapshot", nil},
+		{"server", "POST", "/store/merge", storePayload},
+		{"agg", "GET", "/quantile?phi=0.5", nil},
+		{"agg", "GET", "/rank?q=1200", nil},
+		{"agg", "GET", "/cdf?q=100", nil},
+		{"agg", "GET", "/stats", nil},
+		{"agg", "GET", "/snapshot", nil},
+		{"agg", "POST", "/pull", nil},
+		{"keyedAgg", "GET", "/k/lat.api/quantile?phi=0.5", nil},
+		{"keyedAgg", "GET", "/k/lat.api/rank?q=500", nil},
+		{"keyedAgg", "GET", "/k/lat.db/cdf?q=2500", nil},
+		{"keyedAgg", "GET", "/keys", nil},
+		{"keyedAgg", "GET", "/stats", nil},
+		{"keyedAgg", "GET", "/store/snapshot", nil},
+		{"keyedAgg", "POST", "/pull", nil},
+		{"tree", "POST", "/child/leaf-a/snapshot", payload},
 	}
-	a, b := newV1TestStack(t), newV1TestStack(t)
-	for _, tc := range writes {
-		var srvA, srvB *httptest.Server
-		switch tc.tier {
-		case "server":
-			srvA, srvB = a.server, b.server
-		case "agg":
-			srvA, srvB = a.agg, b.agg
-		default:
-			srvA, srvB = a.keyedAgg, b.keyedAgg
+	for _, tc := range routes {
+		srv := tiers[tc.tier]
+		if got := doRaw(t, tc.method, srv.URL+"/v1"+tc.route, tc.body, ""); got.status != 200 {
+			t.Errorf("%s %s /v1%s: status %d, want 200 (body %s)", tc.tier, tc.method, tc.route, got.status, got.body)
 		}
-		legacy := doRaw(t, "POST", srvA.URL+tc.route, tc.body, tc.contentType)
-		v1 := doRaw(t, "POST", srvB.URL+"/v1"+tc.route, tc.body, tc.contentType)
-		if legacy.status != v1.status || !bytes.Equal(legacy.body, v1.body) {
-			t.Errorf("POST %s: legacy (%d, %s) != /v1 (%d, %s)",
-				tc.route, legacy.status, legacy.body, v1.status, v1.body)
+		if got := doRaw(t, tc.method, srv.URL+tc.route, tc.body, ""); got.status != http.StatusNotFound {
+			t.Errorf("%s %s %s: status %d, want 404 for the unversioned spelling", tc.tier, tc.method, tc.route, got.status)
 		}
 	}
 }
@@ -321,10 +290,14 @@ func TestErrorEnvelope(t *testing.T) {
 		code        string
 	}{
 		{"missing phi", "GET", stack.server.URL + "/v1/quantile", nil, "", 400, "bad_request"},
-		{"phi out of range", "GET", stack.server.URL + "/quantile?phi=2", nil, "", 400, "bad_request"},
+		{"phi out of range", "GET", stack.server.URL + "/v1/quantile?phi=2", nil, "", 400, "bad_request"},
+		{"phi NaN", "GET", stack.server.URL + "/v1/quantile?phi=NaN", nil, "", 400, "bad_request"},
+		{"keyed phi NaN", "GET", stack.server.URL + "/v1/k/lat.api/quantile?phi=NaN", nil, "", 400, "bad_request"},
+		{"agg phi NaN", "GET", stack.agg.URL + "/v1/quantile?phi=NaN", nil, "", 400, "bad_request"},
+		{"keyed agg phi NaN", "GET", stack.keyedAgg.URL + "/v1/k/lat.api/quantile?phi=NaN", nil, "", 400, "bad_request"},
 		{"bad rank q", "GET", stack.server.URL + "/v1/rank?q=NaN", nil, "", 400, "bad_request"},
 		{"update NaN", "POST", stack.server.URL + "/v1/update?x=NaN", nil, "", 400, "bad_request"},
-		{"update bad JSON", "POST", stack.server.URL + "/update", []byte(`[1,"x"]`), "application/json", 400, "bad_request"},
+		{"update bad JSON", "POST", stack.server.URL + "/v1/update", []byte(`[1,"x"]`), "application/json", 400, "bad_request"},
 		{"update null element", "POST", stack.server.URL + "/v1/update", []byte(`[1,null]`), "application/json", 400, "bad_request"},
 		{"weighted NaN weight", "POST", stack.server.URL + "/v1/update", []byte(`[{"v":1,"w":-2}]`), "application/json", 400, "bad_request"},
 		{"merge garbage", "POST", stack.server.URL + "/v1/merge", []byte("junk"), "", 400, "bad_request"},

@@ -106,10 +106,7 @@ func EncodeDelta(base, head []byte) ([]byte, error) {
 		}
 	}
 
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindDelta))
+	w := newPayload(KindDelta)
 	w.u64(PayloadHash(base))
 	w.u64(PayloadHash(head))
 	w.u32(uint32(len(head)))
@@ -185,12 +182,9 @@ type DeltaHeader struct {
 // DecodeDeltaHeader reads the header of a KindDelta payload without applying
 // it.
 func DecodeDeltaHeader(delta []byte) (DeltaHeader, error) {
-	r, kind, err := openPayload(delta)
+	r, err := openKind(delta, KindDelta, "delta")
 	if err != nil {
 		return DeltaHeader{}, err
-	}
-	if kind != KindDelta {
-		return DeltaHeader{}, fmt.Errorf("encoding: payload holds kind %d, want delta (%d)", kind, KindDelta)
 	}
 	hdr := DeltaHeader{BaseHash: r.u64(), HeadHash: r.u64(), HeadLen: int(r.u32())}
 	if r.err != nil {
@@ -218,12 +212,9 @@ func IsDelta(payload []byte) bool {
 // bounds-checked against the inputs, so a hostile delta cannot read outside
 // the base or allocate beyond its declared (capped) head length.
 func ApplyDelta(base, delta []byte) ([]byte, error) {
-	r, kind, err := openPayload(delta)
+	r, err := openKind(delta, KindDelta, "delta")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindDelta {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want delta (%d)", kind, KindDelta)
 	}
 	baseHash := r.u64()
 	headHash := r.u64()

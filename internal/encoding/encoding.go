@@ -2,14 +2,14 @@
 // quantile summaries, so sketches can be shipped between workers and a
 // coordinator (the distributed aggregation setting of Section 1 of the paper
 // and the "mergeable summaries" line of work it cites) or checkpointed to
-// disk. All mergeable families are covered — GK, KLL, MRL, the
-// reservoir, the multi-level MLQ summary, and the relative-error REQ
-// summary — so a coordinator can
-// round-trip and merge whichever family its workers run, and the
-// sliding-window summary round-trips as well (KindWindow)
-// so every facade family can be checkpointed. The generic Encode/Decode pair
-// dispatches on the Kind tag; per-kind functions remain for callers that know
-// what they hold.
+// disk. It covers all ten summary families: GK, KLL, MRL, the reservoir,
+// the sliding window, the multi-level MLQ summary, the relative-error REQ
+// summary, the exact buffer of cold store keys, the biased summary, and the
+// randomized Felber–Ostrovsky summary. Every family but the sliding window
+// merges, so a coordinator can round-trip and merge whichever family its
+// workers run. The generic Encode/Decode pair and the merge helpers dispatch
+// through one table with a row per family; per-kind functions remain for
+// callers that know what they hold.
 //
 // The format is versioned, little-endian, and self-describing enough to
 // reject foreign payloads: a 4-byte magic, a format version, a summary kind,
@@ -66,34 +66,123 @@ const (
 	KindFO        Kind = 12
 )
 
+// family is one summary family's row in the dispatch table behind
+// Kind.String, Encode, Decode, CheckMergeable and MergeAny.
+type family struct {
+	kind Kind
+	name string
+	ops  familyOps
+}
+
+// familyOps is a family's typed codec and merge rule, taking values of type
+// any; codec[S] implements it for the family's concrete summary type S.
+type familyOps interface {
+	holds(s any) bool
+	merges() bool
+	encode(s any) ([]byte, error)
+	decode(payload []byte) (any, error)
+	check(dst, src any) error
+	merge(dst, src any) error
+}
+
+// codec holds one family's typed functions.
+type codec[S interface{ Count() int }] struct {
+	enc func(S) ([]byte, error)
+	dec func([]byte) (S, error)
+	// mergeFn is nil for a family with no merge operation.
+	mergeFn func(dst, src S) error
+	// params, when set, rejects a src whose structural parameter differs
+	// from dst's. An empty src merges regardless, as the Merge methods allow.
+	params func(dst, src S) error
+}
+
+func (c codec[S]) holds(s any) bool             { _, ok := s.(S); return ok }
+func (c codec[S]) merges() bool                 { return c.mergeFn != nil }
+func (c codec[S]) encode(s any) ([]byte, error) { return c.enc(s.(S)) }
+func (c codec[S]) merge(dst, src any) error     { return c.mergeFn(dst.(S), src.(S)) }
+
+func (c codec[S]) decode(payload []byte) (any, error) {
+	s, err := c.dec(payload)
+	if err != nil {
+		// An untyped nil: S's typed nil pointer would make the any non-nil.
+		return nil, err
+	}
+	return s, nil
+}
+
+func (c codec[S]) check(dst, src any) error {
+	if c.params == nil || src.(S).Count() == 0 {
+		return nil
+	}
+	return c.params(dst.(S), src.(S))
+}
+
+// mismatch reports a structural parameter that differs between two sides of
+// a merge.
+func mismatch(param string, dst, src int) error {
+	if dst == src {
+		return nil
+	}
+	return fmt.Errorf("%w: %s mismatch (%d vs %d)", ErrNotMergeable, param, dst, src)
+}
+
+// families lists every single-summary kind. KindStore and KindDelta are
+// containers of other payloads and have no row. Only kll, mrl and mlq need a
+// parameter check: req and fo merges are free COMBINEs (req re-certifies its
+// gaps, fo aligns levels by absolute weight exponent), and the other
+// families merge any two members.
+var families = [...]family{
+	{KindGK, "gk", codec[*gk.Summary[float64]]{EncodeGK, DecodeGK, (*gk.Summary[float64]).Merge, nil}},
+	{KindKLL, "kll", codec[*kll.Sketch[float64]]{EncodeKLL, DecodeKLL, (*kll.Sketch[float64]).Merge,
+		func(d, s *kll.Sketch[float64]) error { return mismatch("kll k", d.K(), s.K()) }}},
+	{KindMRL, "mrl", codec[*mrl.Summary[float64]]{EncodeMRL, DecodeMRL, (*mrl.Summary[float64]).Merge,
+		func(d, s *mrl.Summary[float64]) error {
+			return mismatch("mrl buffer capacity", d.BufferCapacity(), s.BufferCapacity())
+		}}},
+	{KindReservoir, "reservoir", codec[*sampling.Reservoir[float64]]{EncodeReservoir, DecodeReservoir,
+		(*sampling.Reservoir[float64]).Merge, nil}},
+	{KindWindow, "window", codec[*window.Summary[float64]]{EncodeWindow, DecodeWindow, nil, nil}},
+	{KindMLQ, "mlq", codec[*mlq.Summary]{EncodeMLQ, DecodeMLQ, (*mlq.Summary).Merge,
+		func(d, s *mlq.Summary) error { return mismatch("mlq block size", d.BlockSize(), s.BlockSize()) }}},
+	{KindREQ, "req", codec[*req.Summary]{EncodeREQ, DecodeREQ, (*req.Summary).Merge, nil}},
+	{KindExact, "exact", codec[*exact.Buffer]{EncodeExact, DecodeExact, (*exact.Buffer).Merge, nil}},
+	{KindBiased, "biased", codec[*biased.Summary[float64]]{EncodeBiased, DecodeBiased,
+		(*biased.Summary[float64]).Merge, nil}},
+	{KindFO, "fo", codec[*fo.Summary[float64]]{EncodeFO, DecodeFO, (*fo.Summary[float64]).Merge, nil}},
+}
+
+// familyOf returns the row of the family s belongs to, or nil.
+func familyOf(s any) *family {
+	for i := range families {
+		if families[i].ops.holds(s) {
+			return &families[i]
+		}
+	}
+	return nil
+}
+
+// familyByKind returns the row of kind k, or nil for a container or unknown
+// kind.
+func familyByKind(k Kind) *family {
+	for i := range families {
+		if families[i].kind == k {
+			return &families[i]
+		}
+	}
+	return nil
+}
+
 // String returns the short family name used in reports and peer status
 // (e.g. "gk", "kll").
 func (k Kind) String() string {
-	switch k {
-	case KindGK:
-		return "gk"
-	case KindKLL:
-		return "kll"
-	case KindMRL:
-		return "mrl"
-	case KindReservoir:
-		return "reservoir"
-	case KindWindow:
-		return "window"
-	case KindStore:
+	if f := familyByKind(k); f != nil {
+		return f.name
+	}
+	if k == KindStore {
 		return "store"
-	case KindMLQ:
-		return "mlq"
-	case KindREQ:
-		return "req"
-	case KindDelta:
+	}
+	if k == KindDelta {
 		return "delta"
-	case KindExact:
-		return "exact"
-	case KindBiased:
-		return "biased"
-	case KindFO:
-		return "fo"
 	}
 	return fmt.Sprintf("kind(%d)", uint16(k))
 }
@@ -180,10 +269,7 @@ func EncodeGK(s *gk.Summary[float64]) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindGK))
+	w := newPayload(KindGK)
 	writeGKFields(w, s)
 	return w.buf.Bytes(), w.err
 }
@@ -238,12 +324,9 @@ func readGKFields(r *reader) (*gk.Summary[float64], error) {
 
 // DecodeGK reconstructs a float64 Greenwald–Khanna summary.
 func DecodeGK(payload []byte) (*gk.Summary[float64], error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindGK, "GK")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindGK {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want GK (%d)", kind, KindGK)
 	}
 	return readGKFields(r)
 }
@@ -253,10 +336,7 @@ func EncodeKLL(s *kll.Sketch[float64]) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil sketch")
 	}
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindKLL))
+	w := newPayload(KindKLL)
 	w.i64(int64(s.K()))
 	w.i64(int64(s.Count()))
 	levels := s.Compactors()
@@ -276,12 +356,9 @@ func EncodeKLL(s *kll.Sketch[float64]) ([]byte, error) {
 // to accept updates and merges (its random source is freshly seeded from the
 // retained state size, which does not affect correctness guarantees).
 func DecodeKLL(payload []byte) (*kll.Sketch[float64], error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindKLL, "KLL")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindKLL {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want KLL (%d)", kind, KindKLL)
 	}
 	k := int(r.i64())
 	count := r.i64()
@@ -328,10 +405,7 @@ func EncodeMRL(s *mrl.Summary[float64]) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindMRL))
+	w := newPayload(KindMRL)
 	w.f64(s.Epsilon())
 	w.i64(int64(s.BufferCapacity()))
 	w.i64(int64(s.MaxN()))
@@ -360,12 +434,9 @@ func EncodeMRL(s *mrl.Summary[float64]) ([]byte, error) {
 // DecodeMRL reconstructs a float64 MRL summary serialized by EncodeMRL. The
 // decoded summary continues to accept updates and merges.
 func DecodeMRL(payload []byte) (*mrl.Summary[float64], error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindMRL, "MRL")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindMRL {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want MRL (%d)", kind, KindMRL)
 	}
 	eps := r.f64()
 	capacity := r.i64()
@@ -441,10 +512,7 @@ func EncodeReservoir(r *sampling.Reservoir[float64]) ([]byte, error) {
 	if r == nil {
 		return nil, errors.New("encoding: nil reservoir")
 	}
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindReservoir))
+	w := newPayload(KindReservoir)
 	w.i64(int64(r.Capacity()))
 	w.i64(int64(r.Count()))
 	sample := r.Sample()
@@ -462,12 +530,9 @@ func EncodeReservoir(r *sampling.Reservoir[float64]) ([]byte, error) {
 // merges (its random source is freshly seeded, which does not affect the
 // uniformity of the restored sample).
 func DecodeReservoir(payload []byte) (*sampling.Reservoir[float64], error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindReservoir, "reservoir")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindReservoir {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want reservoir (%d)", kind, KindReservoir)
 	}
 	capacity := r.i64()
 	count := r.i64()
@@ -524,10 +589,7 @@ func EncodeWindow(s *window.Summary[float64]) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindWindow))
+	w := newPayload(KindWindow)
 	w.f64(s.Epsilon())
 	w.i64(int64(s.WindowLen()))
 	w.i64(int64(s.TotalSeen()))
@@ -545,12 +607,9 @@ func EncodeWindow(s *window.Summary[float64]) ([]byte, error) {
 // EncodeWindow. The decoded summary continues to accept updates; expiry picks
 // up exactly where the encoder's stream position left off.
 func DecodeWindow(payload []byte) (*window.Summary[float64], error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindWindow, "window")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindWindow {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want window (%d)", kind, KindWindow)
 	}
 	eps := r.f64()
 	windowLen := r.i64()
@@ -594,27 +653,8 @@ func DecodeWindow(payload []byte) (*window.Summary[float64], error) {
 // without being told what it holds. It is the entry point the distributed
 // tier uses (internal/sharded.SnapshotPayload, internal/cluster).
 func Encode(s any) ([]byte, error) {
-	switch v := s.(type) {
-	case *gk.Summary[float64]:
-		return EncodeGK(v)
-	case *kll.Sketch[float64]:
-		return EncodeKLL(v)
-	case *mrl.Summary[float64]:
-		return EncodeMRL(v)
-	case *sampling.Reservoir[float64]:
-		return EncodeReservoir(v)
-	case *window.Summary[float64]:
-		return EncodeWindow(v)
-	case *mlq.Summary:
-		return EncodeMLQ(v)
-	case *req.Summary:
-		return EncodeREQ(v)
-	case *exact.Buffer:
-		return EncodeExact(v)
-	case *biased.Summary[float64]:
-		return EncodeBiased(v)
-	case *fo.Summary[float64]:
-		return EncodeFO(v)
+	if f := familyOf(s); f != nil {
+		return f.ops.encode(s)
 	}
 	return nil, fmt.Errorf("encoding: unsupported summary type %T", s)
 }
@@ -622,52 +662,25 @@ func Encode(s any) ([]byte, error) {
 // Decode reconstructs whichever summary a payload holds, dispatching on the
 // Kind tag. The result is one of *gk.Summary[float64], *kll.Sketch[float64],
 // *mrl.Summary[float64], *sampling.Reservoir[float64],
-// *window.Summary[float64], *mlq.Summary, *req.Summary, or
-// *fo.Summary[float64]; use DetectKind
-// first when the caller needs to know without paying for the full decode.
+// *window.Summary[float64], *mlq.Summary, *req.Summary, *exact.Buffer,
+// *biased.Summary[float64], or *fo.Summary[float64]; on error it is an
+// untyped nil. Use DetectKind first when the caller needs to know the kind
+// without paying for the full decode.
 func Decode(payload []byte) (any, error) {
 	kind, err := DetectKind(payload)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		dec    any
-		decErr error
-	)
-	switch kind {
-	case KindGK:
-		dec, decErr = DecodeGK(payload)
-	case KindKLL:
-		dec, decErr = DecodeKLL(payload)
-	case KindMRL:
-		dec, decErr = DecodeMRL(payload)
-	case KindReservoir:
-		dec, decErr = DecodeReservoir(payload)
-	case KindWindow:
-		dec, decErr = DecodeWindow(payload)
-	case KindMLQ:
-		dec, decErr = DecodeMLQ(payload)
-	case KindREQ:
-		dec, decErr = DecodeREQ(payload)
-	case KindExact:
-		dec, decErr = DecodeExact(payload)
-	case KindBiased:
-		dec, decErr = DecodeBiased(payload)
-	case KindFO:
-		dec, decErr = DecodeFO(payload)
-	case KindStore:
+	if f := familyByKind(kind); f != nil {
+		return f.ops.decode(payload)
+	}
+	if kind == KindStore {
 		return nil, errors.New("encoding: payload is a KindStore container, not a single summary; use DecodeStore")
-	case KindDelta:
+	}
+	if kind == KindDelta {
 		return nil, errors.New("encoding: payload is a KindDelta container, not a full summary; use ApplyDelta with its base payload first")
-	default:
-		return nil, fmt.Errorf("encoding: unknown summary kind %d", kind)
 	}
-	if decErr != nil {
-		// Return an untyped nil: the per-kind decoders return typed nil
-		// pointers on failure, which would make the any non-nil.
-		return nil, decErr
-	}
-	return dec, nil
+	return nil, fmt.Errorf("encoding: unknown summary kind %d", kind)
 }
 
 // DetectKind returns the summary kind stored in a payload without decoding it
@@ -690,4 +703,27 @@ func openPayload(payload []byte) (*reader, Kind, error) {
 		return nil, 0, ErrBadPayload
 	}
 	return r, kind, nil
+}
+
+// newPayload starts a payload with the shared header: magic, format version
+// and kind.
+func newPayload(kind Kind) *writer {
+	w := &writer{}
+	w.u32(Magic)
+	w.u16(Version)
+	w.u16(uint16(kind))
+	return w
+}
+
+// openKind opens a payload and checks that it holds want; label names the
+// kind in the error.
+func openKind(payload []byte, want Kind, label string) (*reader, error) {
+	r, kind, err := openPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	if kind != want {
+		return nil, fmt.Errorf("encoding: payload holds kind %d, want %s (%d)", kind, label, want)
+	}
+	return r, nil
 }

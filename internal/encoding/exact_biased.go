@@ -16,10 +16,7 @@ func EncodeExact(b *exact.Buffer) ([]byte, error) {
 	if b == nil {
 		return nil, errors.New("encoding: nil buffer")
 	}
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindExact))
+	w := newPayload(KindExact)
 	w.i64(int64(b.Count()))
 	vals := b.Values()
 	wts := b.Weights()
@@ -40,12 +37,9 @@ func EncodeExact(b *exact.Buffer) ([]byte, error) {
 
 // DecodeExact reconstructs an exact buffer serialized by EncodeExact.
 func DecodeExact(payload []byte) (*exact.Buffer, error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindExact, "exact")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindExact {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want exact (%d)", kind, KindExact)
 	}
 	count := r.i64()
 	weighted := r.u16()
@@ -90,10 +84,7 @@ func EncodeBiased(s *biased.Summary[float64]) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindBiased))
+	w := newPayload(KindBiased)
 	w.f64(s.Epsilon())
 	w.i64(int64(s.Count()))
 	tuples := s.Tuples()
@@ -109,12 +100,9 @@ func EncodeBiased(s *biased.Summary[float64]) ([]byte, error) {
 // DecodeBiased reconstructs a float64 biased summary serialized by
 // EncodeBiased.
 func DecodeBiased(payload []byte) (*biased.Summary[float64], error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindBiased, "biased")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindBiased {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want biased (%d)", kind, KindBiased)
 	}
 	eps := r.f64()
 	count := r.i64()

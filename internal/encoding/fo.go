@@ -26,10 +26,7 @@ func EncodeFO(s *fo.Summary[float64]) ([]byte, error) {
 		return nil, errors.New("encoding: nil summary")
 	}
 	st := s.ExportState()
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindFO))
+	w := newPayload(KindFO)
 	w.f64(st.Eps)
 	w.f64(st.Delta)
 	w.i64(st.N)
@@ -54,12 +51,9 @@ func EncodeFO(s *fo.Summary[float64]) ([]byte, error) {
 // structurally (length guards, level-count cap) and semantically through
 // fo.Restore's invariant checks.
 func DecodeFO(payload []byte) (*fo.Summary[float64], error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindFO, "FO")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindFO {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want FO (%d)", kind, KindFO)
 	}
 	var st fo.State[float64]
 	st.Eps = r.f64()

@@ -26,10 +26,7 @@ func EncodeMLQ(s *mlq.Summary) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindMLQ))
+	w := newPayload(KindMLQ)
 	w.f64(s.Epsilon())
 	w.u32(uint32(s.BlockSize()))
 	w.u32(uint32(s.MaxLevels()))
@@ -60,12 +57,9 @@ func EncodeMLQ(s *mlq.Summary) ([]byte, error) {
 // invariant checks, including the per-level b+1 entry cap below the horizon
 // and total-weight conservation against the recorded count).
 func DecodeMLQ(payload []byte) (*mlq.Summary, error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindMLQ, "MLQ")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindMLQ {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want MLQ (%d)", kind, KindMLQ)
 	}
 	eps := r.f64()
 	b := r.u32()

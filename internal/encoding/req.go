@@ -21,10 +21,7 @@ func EncodeREQ(s *req.Summary) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindREQ))
+	w := newPayload(KindREQ)
 	w.f64(s.Epsilon())
 	w.u32(uint32(s.BufferSize()))
 	w.i64(int64(s.Count()))
@@ -50,12 +47,9 @@ func EncodeREQ(s *req.Summary) ([]byte, error) {
 // (req.Restore's invariant checks, including exactness of the extreme
 // entries and total-weight conservation against the recorded count).
 func DecodeREQ(payload []byte) (*req.Summary, error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindREQ, "REQ")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindREQ {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want REQ (%d)", kind, KindREQ)
 	}
 	eps := r.f64()
 	b := r.u32()

@@ -13,15 +13,7 @@ import (
 	"fmt"
 	"sort"
 
-	"quantilelb/internal/biased"
 	"quantilelb/internal/exact"
-	"quantilelb/internal/fo"
-	"quantilelb/internal/gk"
-	"quantilelb/internal/kll"
-	"quantilelb/internal/mlq"
-	"quantilelb/internal/mrl"
-	"quantilelb/internal/req"
-	"quantilelb/internal/sampling"
 	"quantilelb/internal/summary"
 )
 
@@ -65,10 +57,7 @@ func EncodeStore(entries []KeyedPayload) ([]byte, error) {
 			return nil, fmt.Errorf("encoding: store key %q: KindStore containers do not nest", e.Key)
 		}
 	}
-	w := &writer{}
-	w.u32(Magic)
-	w.u16(Version)
-	w.u16(uint16(KindStore))
+	w := newPayload(KindStore)
 	w.u32(uint32(len(sorted)))
 	for _, e := range sorted {
 		w.u32(uint32(len(e.Key)))
@@ -90,12 +79,9 @@ func EncodeStore(entries []KeyedPayload) ([]byte, error) {
 // restore can skip keys it does not want. Duplicate keys are rejected — a
 // keyed merge must never silently drop one of two states for the same key.
 func DecodeStore(payload []byte) ([]KeyedPayload, error) {
-	r, kind, err := openPayload(payload)
+	r, err := openKind(payload, KindStore, "store")
 	if err != nil {
 		return nil, err
-	}
-	if kind != KindStore {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want store (%d)", kind, KindStore)
 	}
 	numKeys := r.u32()
 	if r.err != nil {
@@ -151,9 +137,9 @@ func DecodeStore(payload []byte) ([]KeyedPayload, error) {
 // different families.
 var ErrNotMergeable = errors.New("encoding: summaries are not mergeable")
 
-// CheckMergeable reports whether MergeAny(dst, src) would succeed, without
-// mutating either side. It covers every failure MergeAny can produce:
-// mismatched or non-mergeable families, a KLL k mismatch, an MRL
+// CheckMergeable reports whether MergeAdopting(dst, src) would succeed,
+// without mutating either side. It covers every failure the merge can
+// produce: mismatched or non-mergeable families, a KLL k mismatch, an MRL
 // buffer-capacity mismatch, and an MLQ block-size mismatch (an empty src
 // merges into anything of its own family, mirroring the Merge
 // implementations). The keyed store uses it to
@@ -177,58 +163,24 @@ func CheckMergeable(dst, src any) error {
 		}
 		return fmt.Errorf("%w: cannot replay exact items into %T", ErrNotMergeable, src)
 	}
-	switch d := dst.(type) {
-	case *gk.Summary[float64]:
-		if _, ok := src.(*gk.Summary[float64]); ok {
-			return nil
-		}
-	case *kll.Sketch[float64]:
-		if s, ok := src.(*kll.Sketch[float64]); ok {
-			if s.Count() > 0 && s.K() != d.K() {
-				return fmt.Errorf("%w: kll k mismatch (%d vs %d)", ErrNotMergeable, d.K(), s.K())
-			}
-			return nil
-		}
-	case *mrl.Summary[float64]:
-		if s, ok := src.(*mrl.Summary[float64]); ok {
-			if s.Count() > 0 && s.BufferCapacity() != d.BufferCapacity() {
-				return fmt.Errorf("%w: mrl buffer capacity mismatch (%d vs %d)", ErrNotMergeable, d.BufferCapacity(), s.BufferCapacity())
-			}
-			return nil
-		}
-	case *sampling.Reservoir[float64]:
-		if _, ok := src.(*sampling.Reservoir[float64]); ok {
-			return nil
-		}
-	case *mlq.Summary:
-		if s, ok := src.(*mlq.Summary); ok {
-			if s.Count() > 0 && s.BlockSize() != d.BlockSize() {
-				return fmt.Errorf("%w: mlq block size mismatch (%d vs %d)", ErrNotMergeable, d.BlockSize(), s.BlockSize())
-			}
-			return nil
-		}
-	case *req.Summary:
-		// req merge is a free COMBINE: no structural parameter must match
-		// (compaction re-certifies gaps from scratch), so any two req
-		// summaries merge.
-		if _, ok := src.(*req.Summary); ok {
-			return nil
-		}
-	case *biased.Summary[float64]:
-		if _, ok := src.(*biased.Summary[float64]); ok {
-			return nil
-		}
-	case *fo.Summary[float64]:
-		// fo merge is a free COMBINE like req: eps takes the pairwise max,
-		// the failure probabilities add, and levels align by absolute weight
-		// exponent — no structural parameter must match.
-		if _, ok := src.(*fo.Summary[float64]); ok {
-			return nil
-		}
-	default:
-		return fmt.Errorf("%w: %T has no merge operation", ErrNotMergeable, dst)
+	ops, err := mergeOps(dst, src)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("%w: cannot merge %T into %T; both sides must hold the same family", ErrNotMergeable, src, dst)
+	return ops.check(dst, src)
+}
+
+// mergeOps returns the operations of dst's family after checking that the
+// family merges and that src holds the same family.
+func mergeOps(dst, src any) (familyOps, error) {
+	f := familyOf(dst)
+	if f == nil || !f.ops.merges() {
+		return nil, fmt.Errorf("%w: %T has no merge operation", ErrNotMergeable, dst)
+	}
+	if !f.ops.holds(src) {
+		return nil, fmt.Errorf("%w: cannot merge %T into %T; both sides must hold the same family", ErrNotMergeable, src, dst)
+	}
+	return f.ops, nil
 }
 
 // updater is the minimal ingest interface every float64 summary implements;
@@ -288,58 +240,24 @@ func MergeAdopting(dst, src any) (any, error) {
 }
 
 // MergeAny folds src into dst when both hold the same mergeable concrete
-// float64 summary family (GK, KLL, MRL, the reservoir, MLQ, or REQ). Every branch
-// preserves the COMBINE budget eps_new = max(eps_dst, eps_src). It is the
-// single merge-dispatch point shared by the cluster aggregator and the keyed
-// store, so a new family becomes mergeable everywhere by extending it here.
+// float64 summary family (every family but the sliding window), or when src
+// is an exact buffer whose items replay into dst. Every branch preserves the
+// COMBINE budget eps_new = max(eps_dst, eps_src). It is the single
+// merge-dispatch point shared by the cluster aggregator and the keyed store;
+// a family becomes mergeable everywhere through its row in the family table.
 func MergeAny(dst, src any) error {
-	if s, ok := src.(*exact.Buffer); ok {
-		if _, isExact := dst.(*exact.Buffer); !isExact {
-			// A buffered key's exact items replay into the sketch dst through
-			// its native ingest path — lossless for src, eps unchanged for dst.
-			return replayExact(s, dst)
-		}
+	_, dstExact := dst.(*exact.Buffer)
+	if s, ok := src.(*exact.Buffer); ok && !dstExact {
+		// A buffered key's exact items replay into the sketch dst through
+		// its native ingest path — lossless for src, eps unchanged for dst.
+		return replayExact(s, dst)
 	}
-	switch d := dst.(type) {
-	case *gk.Summary[float64]:
-		if s, ok := src.(*gk.Summary[float64]); ok {
-			return d.Merge(s)
+	ops, err := mergeOps(dst, src)
+	if err != nil {
+		if dstExact {
+			return fmt.Errorf("%w: cannot merge %T into an exact buffer in place; use MergeAdopting", ErrNotMergeable, src)
 		}
-	case *kll.Sketch[float64]:
-		if s, ok := src.(*kll.Sketch[float64]); ok {
-			return d.Merge(s)
-		}
-	case *mrl.Summary[float64]:
-		if s, ok := src.(*mrl.Summary[float64]); ok {
-			return d.Merge(s)
-		}
-	case *sampling.Reservoir[float64]:
-		if s, ok := src.(*sampling.Reservoir[float64]); ok {
-			return d.Merge(s)
-		}
-	case *mlq.Summary:
-		if s, ok := src.(*mlq.Summary); ok {
-			return d.Merge(s)
-		}
-	case *req.Summary:
-		if s, ok := src.(*req.Summary); ok {
-			return d.Merge(s)
-		}
-	case *biased.Summary[float64]:
-		if s, ok := src.(*biased.Summary[float64]); ok {
-			return d.Merge(s)
-		}
-	case *fo.Summary[float64]:
-		if s, ok := src.(*fo.Summary[float64]); ok {
-			return d.Merge(s)
-		}
-	case *exact.Buffer:
-		if s, ok := src.(*exact.Buffer); ok {
-			return d.Merge(s)
-		}
-		return fmt.Errorf("%w: cannot merge %T into an exact buffer in place; use MergeAdopting", ErrNotMergeable, src)
-	default:
-		return fmt.Errorf("%w: %T has no merge operation", ErrNotMergeable, dst)
+		return err
 	}
-	return fmt.Errorf("%w: cannot merge %T into %T; both sides must hold the same family", ErrNotMergeable, src, dst)
+	return ops.merge(dst, src)
 }

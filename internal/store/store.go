@@ -796,7 +796,10 @@ func (s *Store) deleteNoLog(key string) bool {
 // the global budget, and recycles the slot id onto the free list. Must be
 // called exactly once per unlinked slot, by the goroutine that unlinked it.
 func (s *Store) reap(st *stripe, id uint32) {
+	// slotAt reads the slab headers that alloc appends to under st.mu.
+	st.mu.Lock()
 	sl := st.slotAt(id)
+	st.mu.Unlock()
 	sl.mu.Lock()
 	sl.dead = true
 	freedB, freedI := sl.retained, sl.items

@@ -83,8 +83,7 @@ const MaxExpansionWeight = 1 << 16
 
 // ExpandWeighted ingests (x, w) into any summary by repeating Update w
 // times: the documented fallback for families without a native weighted path
-// (biased, capped, window, offline; qdigest counts natively over its own
-// fixed universe outside this plumbing). It returns an error — rather
+// (biased, capped, window, offline). It returns an error — rather
 // than looping unboundedly — when w is non-positive or exceeds
 // MaxExpansionWeight, the overflow guard for the expansion.
 func ExpandWeighted[T any](s Quantile[T], x T, w int64) error {

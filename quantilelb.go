@@ -370,13 +370,14 @@ func RestoreStore(cfg StoreConfig, payload []byte) (*Store, error) {
 }
 
 // Snapshot serializes any encodable summary into the compact binary wire
-// payload of internal/encoding, dispatching on its concrete type: GK, KLL,
-// MRL, reservoir, and sliding-window summaries encode directly, and a
-// sharded summary (NewSharded) is refreshed first so the payload covers
-// every accepted update — Snapshot is the checkpoint entry point, where
-// completeness beats the lock-free staleness the serving tier tolerates.
+// payload of internal/encoding, dispatching on its concrete type: the GK,
+// KLL, MRL, reservoir, sliding-window, MLQ, REQ, biased and FO summaries
+// (and the store's exact buffer) encode directly, and a sharded summary
+// (NewSharded) is refreshed first so the payload covers every accepted
+// update — Snapshot is the checkpoint entry point, where completeness beats
+// the lock-free staleness the serving tier tolerates.
 // The payload is what the distributed tier ships between nodes
-// (quantileserver's GET /snapshot, quantileagg's pulls); RestoreAny
+// (quantileserver's GET /v1/snapshot, quantileagg's pulls); RestoreAny
 // reverses it.
 func Snapshot(s Summary) ([]byte, error) {
 	type payloader interface {
@@ -406,58 +407,6 @@ func RestoreAny(payload []byte) (Summary, error) {
 	}
 	return s, nil
 }
-
-// EncodeGK serializes a GK summary into a compact binary payload that can be
-// shipped to a coordinator or checkpointed; DecodeGK reverses it.
-func EncodeGK(s *gk.Summary[float64]) ([]byte, error) { return encoding.EncodeGK(s) }
-
-// DecodeGK reconstructs a GK summary serialized by EncodeGK.
-func DecodeGK(payload []byte) (*gk.Summary[float64], error) { return encoding.DecodeGK(payload) }
-
-// EncodeKLL serializes a KLL sketch; DecodeKLL reverses it.
-func EncodeKLL(s *kll.Sketch[float64]) ([]byte, error) { return encoding.EncodeKLL(s) }
-
-// DecodeKLL reconstructs a KLL sketch serialized by EncodeKLL.
-func DecodeKLL(payload []byte) (*kll.Sketch[float64], error) { return encoding.DecodeKLL(payload) }
-
-// EncodeMRL serializes an MRL summary; DecodeMRL reverses it. Together with
-// EncodeGK, EncodeKLL, and EncodeReservoir this covers every mergeable
-// family, so a coordinator can checkpoint or ship whichever summary its
-// workers run (the wire format is documented in DESIGN.md).
-func EncodeMRL(s *mrl.Summary[float64]) ([]byte, error) { return encoding.EncodeMRL(s) }
-
-// DecodeMRL reconstructs an MRL summary serialized by EncodeMRL.
-func DecodeMRL(payload []byte) (*mrl.Summary[float64], error) { return encoding.DecodeMRL(payload) }
-
-// EncodeReservoir serializes a reservoir sampler; DecodeReservoir reverses it.
-func EncodeReservoir(s *sampling.Reservoir[float64]) ([]byte, error) {
-	return encoding.EncodeReservoir(s)
-}
-
-// DecodeReservoir reconstructs a reservoir serialized by EncodeReservoir.
-func DecodeReservoir(payload []byte) (*sampling.Reservoir[float64], error) {
-	return encoding.DecodeReservoir(payload)
-}
-
-// EncodeMLQ serializes a multi-level summary; DecodeMLQ reverses it.
-func EncodeMLQ(s *mlq.Summary) ([]byte, error) { return encoding.EncodeMLQ(s) }
-
-// DecodeMLQ reconstructs a multi-level summary serialized by EncodeMLQ.
-func DecodeMLQ(payload []byte) (*mlq.Summary, error) { return encoding.DecodeMLQ(payload) }
-
-// EncodeREQ serializes a relative-error summary; DecodeREQ reverses it.
-func EncodeREQ(s *req.Summary) ([]byte, error) { return encoding.EncodeREQ(s) }
-
-// DecodeREQ reconstructs a relative-error summary serialized by EncodeREQ.
-func DecodeREQ(payload []byte) (*req.Summary, error) { return encoding.DecodeREQ(payload) }
-
-// EncodeFO serializes a randomized Felber–Ostrovsky summary, including its
-// generator state and open sampler window, so DecodeFO resumes the run
-// bit-for-bit identically.
-func EncodeFO(s *fo.Summary[float64]) ([]byte, error) { return encoding.EncodeFO(s) }
-
-// DecodeFO reconstructs a randomized summary serialized by EncodeFO.
-func DecodeFO(payload []byte) (*fo.Summary[float64], error) { return encoding.DecodeFO(payload) }
 
 // adapter lifts the public Summary interface to the internal generic one
 // (the method sets are identical).

@@ -148,11 +148,11 @@ func TestFacadeSlidingWindowAndEncoding(t *testing.T) {
 
 	g := quantilelb.NewGK(0.02)
 	feed(g, gen.Uniform(10000).Items())
-	payload, err := quantilelb.EncodeGK(g)
+	payload, err := quantilelb.Snapshot(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := quantilelb.DecodeGK(payload)
+	back, err := quantilelb.RestoreAny(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestFacadeSlidingWindowAndEncoding(t *testing.T) {
 
 	k := quantilelb.NewKLL(0.02, 3)
 	feed(k, gen.Uniform(10000).Items())
-	payload2, err := quantilelb.EncodeKLL(k)
+	payload2, err := quantilelb.Snapshot(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back2, err := quantilelb.DecodeKLL(payload2)
+	back2, err := quantilelb.RestoreAny(payload2)
 	if err != nil {
 		t.Fatal(err)
 	}
