@@ -15,11 +15,16 @@
 // Pull loop. The Aggregator periodically fetches each configured Source
 // (normally GET /v1/snapshot of a quantileserver, via HTTPSource). Fetches carry
 // the previous ETag, so an idle node answers 304 and ships no bytes. The
-// merged view is rebuilt from the latest payload of every peer — decoding
-// fresh summaries each time, so merging (which mutates the receiver) never
-// corrupts retained peer state — and published atomically; readers never
-// block on a pull, and a round in which every reachable peer answered 304
-// skips the rebuild entirely.
+// merged view is rebuilt from the latest payload of every peer and
+// published atomically; readers never block on a pull, and a round in which
+// every reachable peer answered 304 skips the rebuild entirely. The
+// single-stream Aggregator decodes fresh summaries each round, so merging
+// (which mutates the receiver) never corrupts retained peer state. The
+// KeyedAggregator rebuilds per key and incrementally: a round re-derives,
+// from fresh decodes of every peer's record, only the keys whose record
+// changed, appeared or vanished on some peer, and keeps every other key's
+// published summary. Published summaries are never mutated, so the view
+// always equals a from-scratch merge of the retained payloads.
 //
 // Failure handling. A peer that cannot be reached keeps contributing its last
 // successful snapshot (stale-but-available beats absent: quantile summaries

@@ -9,11 +9,13 @@ package cluster
 // single-stream guarantee, multiplied across the key space.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -191,11 +193,36 @@ func storeStatsPayload(st store.Stats) map[string]any {
 // keyedView is the immutable published merged state of a KeyedAggregator:
 // one merged summary per key over every peer that holds the key.
 type keyedView struct {
-	sums    map[string]summary.Summary[float64]
+	sums    map[string]*keyedSum
 	keys    []string // ascending
 	n       int      // total items over all keys
 	peers   int      // peers contributing a payload
 	version int64    // strictly monotonic rebuild counter, the ETag basis
+}
+
+// keyedSum is one key's merged summary in a published view. A rebuild never
+// mutates it, and later views share it while the key is unchanged. Some
+// families fill a lazy query cache on their first read after a decode or a
+// cross-stage merge, so every read or encode of sum takes mu.
+type keyedSum struct {
+	mu  sync.Mutex
+	sum summary.Summary[float64]
+	n   int // sum.Count(), fixed at publication
+}
+
+// keyedRecord is one peer's record of one key in the container the
+// published view was built from.
+type keyedRecord struct {
+	payload []byte // the record's bytes, a sub-slice of the peer's container
+	n       int    // item count of the decoded record; -1 until decoded
+}
+
+// peerRecords is one peer's part of the published view: the container it
+// was built from and that container's records by key. A peer with no
+// container contributes nothing.
+type peerRecords struct {
+	container []byte
+	recs      map[string]keyedRecord
 }
 
 // KeyedAggregator merges the KindStore snapshots of many sources into one
@@ -205,6 +232,11 @@ type keyedView struct {
 // snapshot), but the rebuild merges per key — a key held by several peers
 // gets their summaries COMBINE-merged (eps = max over those peers), and a
 // key held by one peer passes through unchanged.
+//
+// The rebuild is incremental: a round re-derives only the keys whose record
+// changed, appeared or vanished on some peer, and every other key keeps the
+// summary the previous view published. Published summaries are never
+// mutated, so readers of an older view are unaffected by later rounds.
 type KeyedAggregator struct {
 	peers    []*peerState
 	pullMu   sync.Mutex // serializes pull rounds; never held while reading
@@ -212,13 +244,19 @@ type KeyedAggregator struct {
 	view     atomic.Pointer[keyedView]
 	pulls    atomic.Int64
 	rebuilds atomic.Int64
+
+	// built holds, per peer (index-aligned with peers), the records the
+	// published view was built from; decoded counts the records the last
+	// successful rebuild decoded. Both belong to the pull round (pullMu).
+	built   []peerRecords
+	decoded int
 }
 
 // NewKeyed returns a keyed aggregator over the given sources, which must
 // yield KindStore container payloads (normally GET /v1/store/snapshot of a
 // keyed writer node). The merged view is empty until the first PullOnce.
 func NewKeyed(sources ...Source) *KeyedAggregator {
-	a := &KeyedAggregator{}
+	a := &KeyedAggregator{built: make([]peerRecords, len(sources))}
 	for _, src := range sources {
 		a.peers = append(a.peers, &peerState{src: src})
 	}
@@ -264,62 +302,143 @@ func (a *KeyedAggregator) PullOnce(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// rebuild decodes every retained container and publishes the per-key merged
-// view; on failure it returns the peer whose payload could not be used.
-// Caller holds pullMu (but not mu: decoding large payloads must not block
-// Status).
+// rebuild publishes the per-key merged view of every peer's retained
+// container; on failure it returns the peer whose payload could not be used
+// and leaves the published view and the per-peer records of a.built as
+// they were. Caller holds pullMu (but not mu: decoding large payloads must
+// not block Status).
+//
+// Only keys whose record changed, appeared or vanished on some peer since
+// the published view are re-derived: each is decoded fresh from every peer
+// that holds it and merged in peer order, exactly as a full rebuild would,
+// so the result equals a from-scratch merge of the current containers.
+// Every other key keeps its published summary; a published summary is never
+// mutated or handed to MergeAdopting. The first round finds every key
+// changed.
 func (a *KeyedAggregator) rebuild() (*peerState, error) {
-	merged := make(map[string]summary.Summary[float64])
-	contributing := 0
-	for _, p := range a.peers {
-		if len(p.payload) == 0 {
+	prev := a.load()
+	next := make([]peerRecords, len(a.peers))
+	dirty := make(map[string]bool)
+	for i, p := range a.peers {
+		old := a.built[i]
+		if bytes.Equal(p.payload, old.container) {
+			next[i] = old
 			continue
 		}
-		records, err := encoding.DecodeStore(p.payload)
-		if err != nil {
-			return p, fmt.Errorf("peer %s: decoding keyed snapshot: %w", p.src.Name(), err)
-		}
-		peerN := 0
-		for _, rec := range records {
-			dec, err := encoding.Decode(rec.Payload)
+		var cur peerRecords
+		if len(p.payload) > 0 {
+			records, err := encoding.DecodeStore(p.payload)
 			if err != nil {
-				return p, fmt.Errorf("peer %s: key %q: %w", p.src.Name(), rec.Key, err)
+				return p, fmt.Errorf("peer %s: decoding keyed snapshot: %w", p.src.Name(), err)
+			}
+			cur = peerRecords{container: p.payload, recs: make(map[string]keyedRecord, len(records))}
+			for _, rec := range records {
+				n := -1
+				if o, ok := old.recs[rec.Key]; ok && bytes.Equal(o.payload, rec.Payload) {
+					n = o.n
+				} else {
+					dirty[rec.Key] = true
+				}
+				cur.recs[rec.Key] = keyedRecord{payload: rec.Payload, n: n}
+			}
+		}
+		for k := range old.recs {
+			if _, ok := cur.recs[k]; !ok {
+				dirty[k] = true
+			}
+		}
+		next[i] = cur
+	}
+
+	// Re-derive the dirty keys, peer by peer and in key order within a peer,
+	// the order a full rebuild merges in.
+	keys := make([]string, 0, len(dirty))
+	for k := range dirty {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	fresh := make(map[string]summary.Summary[float64], len(keys))
+	decoded := 0
+	for i, p := range a.peers {
+		for _, k := range keys {
+			rec, ok := next[i].recs[k]
+			if !ok {
+				continue
+			}
+			dec, err := encoding.Decode(rec.payload)
+			if err != nil {
+				return p, fmt.Errorf("peer %s: key %q: %w", p.src.Name(), k, err)
 			}
 			sum, ok := dec.(summary.Summary[float64])
 			if !ok {
-				return p, fmt.Errorf("peer %s: key %q decodes to %T, which is not a summary", p.src.Name(), rec.Key, dec)
+				return p, fmt.Errorf("peer %s: key %q decodes to %T, which is not a summary", p.src.Name(), k, dec)
 			}
-			peerN += sum.Count()
-			if existing, ok := merged[rec.Key]; ok {
+			decoded++
+			if rec.n < 0 {
+				// Only records of this round's containers are undecoded, so
+				// this never writes into a.built.
+				rec.n = sum.Count()
+				next[i].recs[k] = rec
+			}
+			if existing, ok := fresh[k]; ok {
 				// MergeAdopting handles the cross-stage case: when the
 				// existing entry is a cold key's exact buffer and the incoming
 				// record is a sketch, the sketch absorbs the buffer and takes
 				// the slot.
 				res, err := encoding.MergeAdopting(existing, sum)
 				if err != nil {
-					return p, fmt.Errorf("peer %s: key %q: cluster: %w", p.src.Name(), rec.Key, err)
+					return p, fmt.Errorf("peer %s: key %q: cluster: %w", p.src.Name(), k, err)
 				}
-				merged[rec.Key] = res.(summary.Summary[float64])
+				fresh[k] = res.(summary.Summary[float64])
 			} else {
-				merged[rec.Key] = sum
+				fresh[k] = sum
 			}
 		}
-		a.mu.Lock()
+	}
+
+	sums := make(map[string]*keyedSum, len(prev.sums)+len(fresh))
+	maps.Copy(sums, prev.sums)
+	n := prev.n
+	keySetChanged := false
+	for _, k := range keys {
+		old, had := prev.sums[k]
+		if had {
+			n -= old.n
+		}
+		s, has := fresh[k]
+		if has {
+			sums[k] = &keyedSum{sum: s, n: s.Count()}
+			n += sums[k].n
+		} else {
+			delete(sums, k)
+		}
+		keySetChanged = keySetChanged || had != has
+	}
+	viewKeys := prev.keys
+	if keySetChanged {
+		viewKeys = slices.Sorted(maps.Keys(sums))
+	}
+
+	contributing := 0
+	a.mu.Lock()
+	for i, p := range a.peers {
+		if len(next[i].container) == 0 {
+			continue
+		}
+		peerN := 0
+		for _, rec := range next[i].recs {
+			peerN += rec.n
+		}
 		p.kind = encoding.KindStore
 		p.n = peerN
-		a.mu.Unlock()
 		contributing++
 	}
-	keys := make([]string, 0, len(merged))
-	n := 0
-	for k, s := range merged {
-		keys = append(keys, k)
-		n += s.Count()
-	}
-	sort.Strings(keys)
+	a.mu.Unlock()
+	a.built = next
+	a.decoded = decoded
 	a.view.Store(&keyedView{
-		sums:    merged,
-		keys:    keys,
+		sums:    sums,
+		keys:    viewKeys,
 		n:       n,
 		peers:   contributing,
 		version: a.rebuilds.Add(1),
@@ -366,51 +485,52 @@ func (a *KeyedAggregator) load() *keyedView {
 // Query returns an approximate ϕ-quantile of key's substream over the union
 // of all peers holding the key; false when no peer holds it.
 func (a *KeyedAggregator) Query(key string, phi float64) (float64, bool) {
-	s := a.load().sums[key]
-	if s == nil {
+	e := a.load().sums[key]
+	if e == nil {
 		return 0, false
 	}
-	return s.Query(phi)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sum.Query(phi)
 }
 
 // EstimateRank estimates the number of items ≤ q in key's merged substream;
 // 0 when no peer holds the key.
 func (a *KeyedAggregator) EstimateRank(key string, q float64) int {
-	s := a.load().sums[key]
-	if s == nil {
+	e := a.load().sums[key]
+	if e == nil {
 		return 0
 	}
-	return s.EstimateRank(q)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sum.EstimateRank(q)
 }
 
 // CDF returns the estimated fraction of key's merged items ≤ q, clamped to
 // [0, 1].
 func (a *KeyedAggregator) CDF(key string, q float64) float64 {
-	s := a.load().sums[key]
-	if s == nil {
+	e := a.load().sums[key]
+	if e == nil || e.n == 0 {
 		return 0
 	}
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	r := s.EstimateRank(q)
+	e.mu.Lock()
+	r := e.sum.EstimateRank(q)
+	e.mu.Unlock()
 	if r < 0 {
 		r = 0
 	}
-	if r > n {
-		r = n
+	if r > e.n {
+		r = e.n
 	}
-	return float64(r) / float64(n)
+	return float64(r) / float64(e.n)
 }
 
 // Count returns the number of items in key's merged substream.
 func (a *KeyedAggregator) Count(key string) int {
-	s := a.load().sums[key]
-	if s == nil {
-		return 0
+	if e := a.load().sums[key]; e != nil {
+		return e.n
 	}
-	return s.Count()
+	return 0
 }
 
 // Keys returns every key any peer holds, in ascending order.
@@ -452,7 +572,10 @@ func (a *KeyedAggregator) SnapshotPayload() ([]byte, int64, error) {
 	}
 	entries := make([]encoding.KeyedPayload, 0, len(v.keys))
 	for _, k := range v.keys {
-		payload, err := encoding.Encode(v.sums[k])
+		e := v.sums[k]
+		e.mu.Lock()
+		payload, err := encoding.Encode(e.sum)
+		e.mu.Unlock()
 		if err != nil {
 			return nil, 0, fmt.Errorf("cluster: encoding merged key %q: %w", k, err)
 		}

@@ -23,6 +23,7 @@ package encoding
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -106,28 +107,28 @@ func EncodeDelta(base, head []byte) ([]byte, error) {
 		}
 	}
 
-	w := newPayload(KindDelta)
+	w := newPayload(KindDelta, 8+8+4+4)
 	w.u64(PayloadHash(base))
 	w.u64(PayloadHash(head))
 	w.u32(uint32(len(head)))
-
-	// Ops are buffered so the count can be written before them.
-	var ops writer
+	// The op count precedes the ops; it is patched in once they are written.
+	countAt := len(w.buf)
+	w.u32(0)
 	opCount := 0
 	litStart := 0
 	emitAdd := func(lit []byte) {
 		if len(lit) == 0 {
 			return
 		}
-		ops.u16(deltaOpAdd)
-		ops.u32(uint32(len(lit)))
-		ops.raw(lit)
+		w.u16(deltaOpAdd)
+		w.u32(uint32(len(lit)))
+		w.raw(lit)
 		opCount++
 	}
 	emitCopy := func(off, length int) {
-		ops.u16(deltaOpCopy)
-		ops.u32(uint32(off))
-		ops.u32(uint32(length))
+		w.u16(deltaOpCopy)
+		w.u32(uint32(off))
+		w.u32(uint32(length))
 		opCount++
 	}
 
@@ -157,15 +158,8 @@ func EncodeDelta(base, head []byte) ([]byte, error) {
 	}
 	emitAdd(head[litStart:])
 
-	w.u32(uint32(opCount))
-	w.raw(ops.buf.Bytes())
-	if w.err != nil {
-		return nil, w.err
-	}
-	if ops.err != nil {
-		return nil, ops.err
-	}
-	return w.buf.Bytes(), nil
+	binary.LittleEndian.PutUint32(w.buf[countAt:], uint32(opCount))
+	return w.buf, nil
 }
 
 // DeltaHeader is the negotiation-relevant prefix of a KindDelta payload.
@@ -270,8 +264,8 @@ func ApplyDelta(base, delta []byte) ([]byte, error) {
 			return nil, fmt.Errorf("encoding: truncated delta op: %w", r.err)
 		}
 	}
-	if r.buf.Len() != 0 {
-		return nil, fmt.Errorf("encoding: %d trailing bytes after delta ops", r.buf.Len())
+	if len(r.buf) != 0 {
+		return nil, fmt.Errorf("encoding: %d trailing bytes after delta ops", len(r.buf))
 	}
 	if len(out) != int(headLen) {
 		return nil, fmt.Errorf("encoding: delta reconstructed %d bytes, declared %d", len(out), headLen)

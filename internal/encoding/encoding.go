@@ -19,7 +19,6 @@
 package encoding
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -191,61 +190,72 @@ func (k Kind) String() string {
 // produced by this package.
 var ErrBadPayload = errors.New("encoding: not a quantilelb summary payload")
 
+// writer appends little-endian fields to buf. A field allocates only when
+// buf is out of room, and newPayload sizes it exactly for every summary
+// kind and for containers.
 type writer struct {
-	buf bytes.Buffer
-	err error
+	buf []byte
 }
 
-func (w *writer) u16(v uint16)  { w.bin(v) }
-func (w *writer) u32(v uint32)  { w.bin(v) }
-func (w *writer) u64(v uint64)  { w.bin(v) }
-func (w *writer) i64(v int64)   { w.bin(v) }
-func (w *writer) f64(v float64) { w.bin(math.Float64bits(v)) }
+func (w *writer) u16(v uint16)  { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
+func (w *writer) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *writer) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *writer) i64(v int64)   { w.u64(uint64(v)) }
+func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
 
-func (w *writer) bin(v interface{}) {
-	if w.err != nil {
-		return
-	}
-	w.err = binary.Write(&w.buf, binary.LittleEndian, v)
-}
+// raw appends bytes verbatim (store records, delta literals).
+func (w *writer) raw(b []byte) { w.buf = append(w.buf, b...) }
 
-// raw appends bytes verbatim (delta literals); errors are sticky like bin's.
-func (w *writer) raw(b []byte) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.buf.Write(b)
-}
-
+// reader reads little-endian fields from the front of buf, the unread rest
+// of a payload. A read past the end poisons it as io.ReadFull would fail:
+// io.EOF when nothing was left, io.ErrUnexpectedEOF when part of the field
+// was; every later read returns zero.
 type reader struct {
-	buf *bytes.Reader
+	buf []byte
 	err error
 }
 
-func (r *reader) u16() uint16  { var v uint16; r.bin(&v); return v }
-func (r *reader) u32() uint32  { var v uint32; r.bin(&v); return v }
-func (r *reader) u64() uint64  { var v uint64; r.bin(&v); return v }
-func (r *reader) i64() int64   { var v int64; r.bin(&v); return v }
+func (r *reader) u16() uint16 {
+	if b := r.bytes(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (r *reader) u32() uint32 {
+	if b := r.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *reader) u64() uint64 {
+	if b := r.bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (r *reader) i64() int64   { return int64(r.u64()) }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-func (r *reader) bin(v interface{}) {
-	if r.err != nil {
-		return
-	}
-	r.err = binary.Read(r.buf, binary.LittleEndian, v)
-}
-
-// bytes reads exactly n raw bytes; the caller must have guarded n with need.
+// bytes consumes the next n bytes and returns them as a capacity-clipped
+// sub-slice of the payload, not a copy; nil once the reader is poisoned.
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r.buf, out); err != nil {
-		r.err = err
+	if len(r.buf) < n {
+		r.err = io.ErrUnexpectedEOF
+		if len(r.buf) == 0 {
+			r.err = io.EOF
+		}
+		r.buf = nil
 		return nil
 	}
-	return out
+	b := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return b
 }
 
 // need reports whether at least n more payload bytes remain, poisoning the
@@ -257,8 +267,8 @@ func (r *reader) need(n int64) bool {
 	if r.err != nil {
 		return false
 	}
-	if int64(r.buf.Len()) < n {
-		r.err = fmt.Errorf("encoding: payload declares %d more bytes but only %d remain", n, r.buf.Len())
+	if int64(len(r.buf)) < n {
+		r.err = fmt.Errorf("encoding: payload declares %d more bytes but only %d remain", n, len(r.buf))
 		return false
 	}
 	return true
@@ -269,10 +279,13 @@ func EncodeGK(s *gk.Summary[float64]) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := newPayload(KindGK)
-	writeGKFields(w, s)
-	return w.buf.Bytes(), w.err
+	w := newPayload(KindGK, gkFieldsLen(s.StoredCount()))
+	writeGKFields(&w, s)
+	return w.buf, nil
 }
+
+// gkFieldsLen is the size of a writeGKFields record holding n tuples.
+func gkFieldsLen(n int) int { return 8 + 2 + 8 + 4 + 32*n }
 
 // writeGKFields appends a GK summary's state (accuracy, policy, count,
 // tuples — each with its weighted-run length) without the payload header, so
@@ -328,7 +341,7 @@ func DecodeGK(payload []byte) (*gk.Summary[float64], error) {
 	if err != nil {
 		return nil, err
 	}
-	return readGKFields(r)
+	return readGKFields(&r)
 }
 
 // EncodeKLL serializes a float64 KLL sketch.
@@ -336,10 +349,15 @@ func EncodeKLL(s *kll.Sketch[float64]) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil sketch")
 	}
-	w := newPayload(KindKLL)
+	levels := s.Compactors()
+	mn, mx, ok := s.Extremes()
+	body := 8 + 8 + 4 + extremesLen(ok)
+	for _, level := range levels {
+		body += 4 + 8*len(level)
+	}
+	w := newPayload(KindKLL, body)
 	w.i64(int64(s.K()))
 	w.i64(int64(s.Count()))
-	levels := s.Compactors()
 	w.u32(uint32(len(levels)))
 	for _, level := range levels {
 		w.u32(uint32(len(level)))
@@ -347,9 +365,8 @@ func EncodeKLL(s *kll.Sketch[float64]) ([]byte, error) {
 			w.f64(x)
 		}
 	}
-	mn, mx, ok := s.Extremes()
-	writeExtremes(w, mn, mx, ok)
-	return w.buf.Bytes(), w.err
+	writeExtremes(&w, mn, mx, ok)
+	return w.buf, nil
 }
 
 // DecodeKLL reconstructs a float64 KLL sketch. The decoded sketch continues
@@ -387,7 +404,7 @@ func DecodeKLL(payload []byte) (*kll.Sketch[float64], error) {
 		}
 		levels[i] = level
 	}
-	mn, mx, hasExtremes := readExtremes(r)
+	mn, mx, hasExtremes := readExtremes(&r)
 	if r.err != nil {
 		return nil, fmt.Errorf("encoding: truncated KLL payload: %w", r.err)
 	}
@@ -405,12 +422,21 @@ func EncodeMRL(s *mrl.Summary[float64]) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := newPayload(KindMRL)
+	levels := s.Buffers()
+	current := s.Pending()
+	mn, mx, ok := s.Extremes()
+	body := 8 + 8 + 8 + 8 + 4 + 4 + 8*len(current) + extremesLen(ok)
+	for _, bufs := range levels {
+		body += 4
+		for _, buf := range bufs {
+			body += 4 + 8*len(buf)
+		}
+	}
+	w := newPayload(KindMRL, body)
 	w.f64(s.Epsilon())
 	w.i64(int64(s.BufferCapacity()))
 	w.i64(int64(s.MaxN()))
 	w.i64(int64(s.Count()))
-	levels := s.Buffers()
 	w.u32(uint32(len(levels)))
 	for _, bufs := range levels {
 		w.u32(uint32(len(bufs)))
@@ -421,14 +447,12 @@ func EncodeMRL(s *mrl.Summary[float64]) ([]byte, error) {
 			}
 		}
 	}
-	current := s.Pending()
 	w.u32(uint32(len(current)))
 	for _, x := range current {
 		w.f64(x)
 	}
-	mn, mx, ok := s.Extremes()
-	writeExtremes(w, mn, mx, ok)
-	return w.buf.Bytes(), w.err
+	writeExtremes(&w, mn, mx, ok)
+	return w.buf, nil
 }
 
 // DecodeMRL reconstructs a float64 MRL summary serialized by EncodeMRL. The
@@ -495,7 +519,7 @@ func DecodeMRL(payload []byte) (*mrl.Summary[float64], error) {
 	for i := range current {
 		current[i] = r.f64()
 	}
-	mn, mx, hasExtremes := readExtremes(r)
+	mn, mx, hasExtremes := readExtremes(&r)
 	if r.err != nil {
 		return nil, fmt.Errorf("encoding: truncated MRL payload: %w", r.err)
 	}
@@ -512,17 +536,17 @@ func EncodeReservoir(r *sampling.Reservoir[float64]) ([]byte, error) {
 	if r == nil {
 		return nil, errors.New("encoding: nil reservoir")
 	}
-	w := newPayload(KindReservoir)
+	sample := r.Sample()
+	mn, mx, ok := r.Extremes()
+	w := newPayload(KindReservoir, 8+8+4+8*len(sample)+extremesLen(ok))
 	w.i64(int64(r.Capacity()))
 	w.i64(int64(r.Count()))
-	sample := r.Sample()
 	w.u32(uint32(len(sample)))
 	for _, x := range sample {
 		w.f64(x)
 	}
-	mn, mx, ok := r.Extremes()
-	writeExtremes(w, mn, mx, ok)
-	return w.buf.Bytes(), w.err
+	writeExtremes(&w, mn, mx, ok)
+	return w.buf, nil
 }
 
 // DecodeReservoir reconstructs a float64 reservoir serialized by
@@ -550,7 +574,7 @@ func DecodeReservoir(payload []byte) (*sampling.Reservoir[float64], error) {
 	for i := range sample {
 		sample[i] = r.f64()
 	}
-	mn, mx, hasExtremes := readExtremes(r)
+	mn, mx, hasExtremes := readExtremes(&r)
 	if r.err != nil {
 		return nil, fmt.Errorf("encoding: truncated reservoir payload: %w", r.err)
 	}
@@ -573,6 +597,14 @@ func writeExtremes(w *writer, mn, mx float64, ok bool) {
 	}
 }
 
+// extremesLen is the size of an extremes trailer.
+func extremesLen(ok bool) int {
+	if ok {
+		return 2 + 16
+	}
+	return 2
+}
+
 // readExtremes reads the extremes trailer written by writeExtremes.
 func readExtremes(r *reader) (mn, mx float64, ok bool) {
 	if r.u16() == 1 {
@@ -589,18 +621,22 @@ func EncodeWindow(s *window.Summary[float64]) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := newPayload(KindWindow)
+	blocks := s.ExportBlocks()
+	body := 8 + 8 + 8 + 4
+	for _, b := range blocks {
+		body += 16 + gkFieldsLen(b.Summary.StoredCount())
+	}
+	w := newPayload(KindWindow, body)
 	w.f64(s.Epsilon())
 	w.i64(int64(s.WindowLen()))
 	w.i64(int64(s.TotalSeen()))
-	blocks := s.ExportBlocks()
 	w.u32(uint32(len(blocks)))
 	for _, b := range blocks {
 		w.i64(int64(b.Start))
 		w.i64(int64(b.Count))
-		writeGKFields(w, b.Summary)
+		writeGKFields(&w, b.Summary)
 	}
-	return w.buf.Bytes(), w.err
+	return w.buf, nil
 }
 
 // DecodeWindow reconstructs a sliding-window summary serialized by
@@ -633,7 +669,7 @@ func DecodeWindow(payload []byte) (*window.Summary[float64], error) {
 		if r.err != nil {
 			return nil, fmt.Errorf("encoding: truncated window block header: %w", r.err)
 		}
-		sum, err := readGKFields(r)
+		sum, err := readGKFields(&r)
 		if err != nil {
 			return nil, fmt.Errorf("encoding: window block %d: %w", i, err)
 		}
@@ -690,25 +726,29 @@ func DetectKind(payload []byte) (Kind, error) {
 	return kind, err
 }
 
-func openPayload(payload []byte) (*reader, Kind, error) {
-	r := &reader{buf: bytes.NewReader(payload)}
+func openPayload(payload []byte) (reader, Kind, error) {
+	r := reader{buf: payload}
 	if r.u32() != Magic {
-		return nil, 0, ErrBadPayload
+		return reader{}, 0, ErrBadPayload
 	}
 	if v := r.u16(); v != Version {
-		return nil, 0, fmt.Errorf("encoding: unsupported format version %d", v)
+		return reader{}, 0, fmt.Errorf("encoding: unsupported format version %d", v)
 	}
 	kind := Kind(r.u16())
 	if r.err != nil {
-		return nil, 0, ErrBadPayload
+		return reader{}, 0, ErrBadPayload
 	}
 	return r, kind, nil
 }
 
+// headerLen is the size of the shared payload header.
+const headerLen = 8
+
 // newPayload starts a payload with the shared header: magic, format version
-// and kind.
-func newPayload(kind Kind) *writer {
-	w := &writer{}
+// and kind. body is the size of the fields that follow; when it is exact,
+// the payload is allocated once and its capacity equals its final length.
+func newPayload(kind Kind, body int) writer {
+	w := writer{buf: make([]byte, 0, headerLen+body)}
 	w.u32(Magic)
 	w.u16(Version)
 	w.u16(uint16(kind))
@@ -717,13 +757,13 @@ func newPayload(kind Kind) *writer {
 
 // openKind opens a payload and checks that it holds want; label names the
 // kind in the error.
-func openKind(payload []byte, want Kind, label string) (*reader, error) {
+func openKind(payload []byte, want Kind, label string) (reader, error) {
 	r, kind, err := openPayload(payload)
 	if err != nil {
-		return nil, err
+		return reader{}, err
 	}
 	if kind != want {
-		return nil, fmt.Errorf("encoding: payload holds kind %d, want %s (%d)", kind, label, want)
+		return reader{}, fmt.Errorf("encoding: payload holds kind %d, want %s (%d)", kind, label, want)
 	}
 	return r, nil
 }

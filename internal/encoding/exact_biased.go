@@ -16,10 +16,10 @@ func EncodeExact(b *exact.Buffer) ([]byte, error) {
 	if b == nil {
 		return nil, errors.New("encoding: nil buffer")
 	}
-	w := newPayload(KindExact)
-	w.i64(int64(b.Count()))
 	vals := b.Values()
 	wts := b.Weights()
+	w := newPayload(KindExact, 8+2+4+8*len(vals)+8*len(wts))
+	w.i64(int64(b.Count()))
 	if wts == nil {
 		w.u16(0)
 	} else {
@@ -32,7 +32,7 @@ func EncodeExact(b *exact.Buffer) ([]byte, error) {
 	for _, wt := range wts {
 		w.i64(wt)
 	}
-	return w.buf.Bytes(), w.err
+	return w.buf, nil
 }
 
 // DecodeExact reconstructs an exact buffer serialized by EncodeExact.
@@ -84,17 +84,17 @@ func EncodeBiased(s *biased.Summary[float64]) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := newPayload(KindBiased)
+	tuples := s.Tuples()
+	w := newPayload(KindBiased, 8+8+4+24*len(tuples))
 	w.f64(s.Epsilon())
 	w.i64(int64(s.Count()))
-	tuples := s.Tuples()
 	w.u32(uint32(len(tuples)))
 	for _, t := range tuples {
 		w.f64(t.V)
 		w.i64(int64(t.G))
 		w.i64(int64(t.Delta))
 	}
-	return w.buf.Bytes(), w.err
+	return w.buf, nil
 }
 
 // DecodeBiased reconstructs a float64 biased summary serialized by

@@ -26,7 +26,12 @@ func EncodeFO(s *fo.Summary[float64]) ([]byte, error) {
 		return nil, errors.New("encoding: nil summary")
 	}
 	st := s.ExportState()
-	w := newPayload(KindFO)
+	hasExt := st.HasMin && st.HasMax
+	body := 8 + 8 + 8 + 2 + 2 + 8 + 8 + 8 + 8 + extremesLen(hasExt) + 2
+	for _, lv := range st.Levels {
+		body += 4 + 8*len(lv)
+	}
+	w := newPayload(KindFO, body)
 	w.f64(st.Eps)
 	w.f64(st.Delta)
 	w.i64(st.N)
@@ -36,7 +41,7 @@ func EncodeFO(s *fo.Summary[float64]) ([]byte, error) {
 	w.i64(st.WinPick)
 	w.f64(st.WinVal)
 	w.u64(st.RNG)
-	writeExtremes(w, st.Min, st.Max, st.HasMin && st.HasMax)
+	writeExtremes(&w, st.Min, st.Max, hasExt)
 	w.u16(uint16(len(st.Levels)))
 	for _, lv := range st.Levels {
 		w.u32(uint32(len(lv)))
@@ -44,7 +49,7 @@ func EncodeFO(s *fo.Summary[float64]) ([]byte, error) {
 			w.f64(v)
 		}
 	}
-	return w.buf.Bytes(), w.err
+	return w.buf, nil
 }
 
 // DecodeFO reconstructs a randomized summary, validating the payload both
@@ -65,7 +70,7 @@ func DecodeFO(payload []byte) (*fo.Summary[float64], error) {
 	st.WinPick = r.i64()
 	st.WinVal = r.f64()
 	st.RNG = r.u64()
-	st.Min, st.Max, st.HasMin = readExtremes(r)
+	st.Min, st.Max, st.HasMin = readExtremes(&r)
 	st.HasMax = st.HasMin
 	numLevels := r.u16()
 	if r.err != nil {

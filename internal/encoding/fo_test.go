@@ -301,7 +301,7 @@ func (p foWire) bytes() []byte {
 			w.f64(v)
 		}
 	}
-	return w.buf.Bytes()
+	return w.buf
 }
 
 // foValidWire is a small consistent baseline the rejection cases perturb.

@@ -26,18 +26,22 @@ func EncodeMLQ(s *mlq.Summary) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := newPayload(KindMLQ)
+	buffered := s.Buffered()
+	levels := s.Levels()
+	body := 8 + 4 + 4 + 8 + 4 + 16*len(buffered) + 4
+	for _, lv := range levels {
+		body += 8 + 4 + 32*len(lv.Entries)
+	}
+	w := newPayload(KindMLQ, body)
 	w.f64(s.Epsilon())
 	w.u32(uint32(s.BlockSize()))
 	w.u32(uint32(s.MaxLevels()))
 	w.i64(int64(s.Count()))
-	buffered := s.Buffered()
 	w.u32(uint32(len(buffered)))
 	for _, p := range buffered {
 		w.f64(p.V)
 		w.i64(p.W)
 	}
-	levels := s.Levels()
 	w.u32(uint32(len(levels)))
 	for _, lv := range levels {
 		w.f64(lv.Eps)
@@ -49,7 +53,7 @@ func EncodeMLQ(s *mlq.Summary) ([]byte, error) {
 			w.i64(e.Rmax)
 		}
 	}
-	return w.buf.Bytes(), w.err
+	return w.buf, nil
 }
 
 // DecodeMLQ reconstructs a multi-level summary, validating the payload both

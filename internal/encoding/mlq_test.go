@@ -208,7 +208,7 @@ func mlqPayload(eps float64, b, maxLevels uint32, count int64, buffered []mlq.We
 			w.i64(e.Rmax)
 		}
 	}
-	return w.buf.Bytes()
+	return w.buf
 }
 
 // exactEntries builds an exact-summary entry slice over 1..n unit values.

@@ -21,17 +21,17 @@ func EncodeREQ(s *req.Summary) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("encoding: nil summary")
 	}
-	w := newPayload(KindREQ)
+	buffered := s.Buffered()
+	entries := s.Entries()
+	w := newPayload(KindREQ, 8+4+8+4+16*len(buffered)+4+32*len(entries))
 	w.f64(s.Epsilon())
 	w.u32(uint32(s.BufferSize()))
 	w.i64(int64(s.Count()))
-	buffered := s.Buffered()
 	w.u32(uint32(len(buffered)))
 	for _, p := range buffered {
 		w.f64(p.V)
 		w.i64(p.W)
 	}
-	entries := s.Entries()
 	w.u32(uint32(len(entries)))
 	for _, e := range entries {
 		w.f64(e.V)
@@ -39,7 +39,7 @@ func EncodeREQ(s *req.Summary) ([]byte, error) {
 		w.i64(e.Rmin)
 		w.i64(e.Rmax)
 	}
-	return w.buf.Bytes(), w.err
+	return w.buf, nil
 }
 
 // DecodeREQ reconstructs a relative-error summary, validating the payload

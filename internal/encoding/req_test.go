@@ -218,7 +218,7 @@ func reqPayload(eps float64, b uint32, count int64, buffered []req.WeightedValue
 		w.i64(e.Rmin)
 		w.i64(e.Rmax)
 	}
-	return w.buf.Bytes()
+	return w.buf
 }
 
 // reqExactEntries builds an exact-summary entry slice over 1..n unit values.

@@ -11,7 +11,8 @@ package encoding
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"quantilelb/internal/exact"
 	"quantilelb/internal/summary"
@@ -35,20 +36,20 @@ type KeyedPayload struct {
 // Records are written in ascending key order regardless of input order, so
 // equal stores produce byte-identical payloads. Duplicate keys, keys longer
 // than MaxStoreKeyBytes, and nested payloads that are not themselves valid
-// single-summary payloads are rejected.
+// single-summary payloads are rejected. The container is allocated once at
+// its exact size.
 func EncodeStore(entries []KeyedPayload) ([]byte, error) {
 	sorted := make([]KeyedPayload, len(entries))
 	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	seen := make(map[string]bool, len(sorted))
-	for _, e := range sorted {
+	slices.SortFunc(sorted, func(a, b KeyedPayload) int { return strings.Compare(a.Key, b.Key) })
+	body := 4
+	for i, e := range sorted {
 		if len(e.Key) > MaxStoreKeyBytes {
 			return nil, fmt.Errorf("encoding: store key of %d bytes exceeds %d", len(e.Key), MaxStoreKeyBytes)
 		}
-		if seen[e.Key] {
+		if i > 0 && e.Key == sorted[i-1].Key {
 			return nil, fmt.Errorf("encoding: duplicate store key %q", e.Key)
 		}
-		seen[e.Key] = true
 		kind, err := DetectKind(e.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("encoding: store key %q: invalid nested payload: %w", e.Key, err)
@@ -56,20 +57,17 @@ func EncodeStore(entries []KeyedPayload) ([]byte, error) {
 		if kind == KindStore {
 			return nil, fmt.Errorf("encoding: store key %q: KindStore containers do not nest", e.Key)
 		}
+		body += 4 + len(e.Key) + 4 + len(e.Payload)
 	}
-	w := newPayload(KindStore)
+	w := newPayload(KindStore, body)
 	w.u32(uint32(len(sorted)))
 	for _, e := range sorted {
 		w.u32(uint32(len(e.Key)))
-		if w.err == nil {
-			_, w.err = w.buf.WriteString(e.Key)
-		}
+		w.buf = append(w.buf, e.Key...)
 		w.u32(uint32(len(e.Payload)))
-		if w.err == nil {
-			_, w.err = w.buf.Write(e.Payload)
-		}
+		w.raw(e.Payload)
 	}
-	return w.buf.Bytes(), w.err
+	return w.buf, nil
 }
 
 // DecodeStore reads a KindStore container back into its records, in the
@@ -78,6 +76,10 @@ func EncodeStore(entries []KeyedPayload) ([]byte, error) {
 // kind); fully decoding the nested summaries is the caller's job, so a store
 // restore can skip keys it does not want. Duplicate keys are rejected — a
 // keyed merge must never silently drop one of two states for the same key.
+//
+// Each record's Payload is a capacity-clipped sub-slice of payload, not a
+// copy: it stays valid only while the caller leaves payload unmodified, and
+// appending to it never writes into payload.
 func DecodeStore(payload []byte) ([]KeyedPayload, error) {
 	r, err := openKind(payload, KindStore, "store")
 	if err != nil {
@@ -117,9 +119,6 @@ func DecodeStore(payload []byte) ([]KeyedPayload, error) {
 			return nil, fmt.Errorf("encoding: truncated store payload for key %q: %w", key, r.err)
 		}
 		nested := r.bytes(int(payloadLen))
-		if r.err != nil {
-			return nil, fmt.Errorf("encoding: truncated store payload for key %q: %w", key, r.err)
-		}
 		nestedKind, err := DetectKind(nested)
 		if err != nil {
 			return nil, fmt.Errorf("encoding: store key %q: invalid nested payload: %w", key, err)
