@@ -24,7 +24,9 @@
 // from fresh decodes of every peer's record, only the keys whose record
 // changed, appeared or vanished on some peer, and keeps every other key's
 // published summary. Published summaries are never mutated, so the view
-// always equals a from-scratch merge of the retained payloads.
+// always equals a from-scratch merge of the retained payloads. Both tiers
+// take a lock around every read of a published summary (the view's, or the
+// key's): some families fill a lazy query cache on their first read.
 //
 // Failure handling. A peer that cannot be reached keeps contributing its last
 // successful snapshot (stale-but-available beats absent: quantile summaries
@@ -381,8 +383,12 @@ func statusLocked(peers []*peerState) []PeerStatus {
 	return out
 }
 
-// view is the immutable published merged state.
+// view is the published merged state. A rebuild never mutates a published
+// view's summary, but some families (mlq and req, for instance) fill a lazy
+// query cache on their first read after a decode, a merge or a Prune, so
+// every read or encode of sum takes mu.
 type view struct {
+	mu      sync.Mutex
 	sum     summary.Summary[float64]
 	n       int
 	peers   int   // number of peers contributing a payload
@@ -586,6 +592,8 @@ func (a *Aggregator) Query(phi float64) (float64, bool) {
 	if v.sum == nil {
 		return 0, false
 	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	return v.sum.Query(phi)
 }
 
@@ -595,6 +603,8 @@ func (a *Aggregator) EstimateRank(q float64) int {
 	if v.sum == nil {
 		return 0
 	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	return v.sum.EstimateRank(q)
 }
 
@@ -605,7 +615,9 @@ func (a *Aggregator) CDF(q float64) float64 {
 	if v.sum == nil || v.n == 0 {
 		return 0
 	}
+	v.mu.Lock()
 	r := v.sum.EstimateRank(q)
+	v.mu.Unlock()
 	if r < 0 {
 		r = 0
 	}
@@ -625,6 +637,8 @@ func (a *Aggregator) StoredItems() []float64 {
 	if v.sum == nil {
 		return nil
 	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	return v.sum.StoredItems()
 }
 
@@ -635,6 +649,8 @@ func (a *Aggregator) StoredCount() int {
 	if v.sum == nil {
 		return 0
 	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	return v.sum.StoredCount()
 }
 
@@ -671,7 +687,9 @@ func (a *Aggregator) SnapshotPayload() ([]byte, int64, error) {
 	if v.sum == nil {
 		return nil, 0, errors.New("cluster: no merged view yet")
 	}
+	v.mu.Lock()
 	payload, err := encoding.Encode(v.sum)
+	v.mu.Unlock()
 	if err != nil {
 		return nil, 0, err
 	}

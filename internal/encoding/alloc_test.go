@@ -7,6 +7,9 @@ package encoding
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"slices"
 	"testing"
 
 	"quantilelb/internal/exact"
@@ -160,5 +163,65 @@ func TestDecodeStoreRecordsAliasInput(t *testing.T) {
 	}
 	if string(again) != string(p) {
 		t.Error("re-encoding decoded records changed the container")
+	}
+}
+
+// TestEncodeDeltaAllocsIndependentOfBase: the encoder's base index is one
+// flat table, so EncodeDelta allocates as often for a 64 KB base as for a
+// 1.6 MB one, and allocates fewer bytes than half the base plus the delta it
+// returns. The output grows with the delta, not the base, so both heads
+// carry the same edits in their first 16 KB and their deltas have the same
+// ops and size.
+func TestEncodeDeltaAllocsIndependentOfBase(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	big := make([]byte, 1600<<10)
+	for i := range big {
+		big[i] = byte(r.Uint32())
+	}
+	measure := func(base []byte) (allocs, bytes float64, delta []byte) {
+		head := slices.Clone(base)
+		for j := range 32 {
+			at := 100 + 500*j
+			for k := range 8 {
+				head[at+k] ^= 0x5a
+			}
+		}
+		delta, err := EncodeDelta(base, head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 10
+		allocs = testing.AllocsPerRun(runs, func() {
+			if _, err := EncodeDelta(base, head); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := EncodeDelta(base, head); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs, delta
+	}
+	smallAllocs, smallBytes, smallDelta := measure(big[:64<<10])
+	bigAllocs, bigBytes, bigDelta := measure(big)
+	t.Logf("64 KB base: %v allocs, %.0f bytes per call; 1.6 MB base: %v allocs, %.0f bytes per call; %d-byte deltas",
+		smallAllocs, smallBytes, bigAllocs, bigBytes, len(bigDelta))
+	if len(smallDelta) != len(bigDelta) {
+		t.Fatalf("the two deltas differ in size (%d vs %d bytes); the allocation comparison needs equal outputs", len(smallDelta), len(bigDelta))
+	}
+	if smallAllocs != bigAllocs {
+		t.Errorf("EncodeDelta allocates %v times for a 64 KB base and %v for a 1.6 MB one", smallAllocs, bigAllocs)
+	}
+	for _, m := range []struct {
+		base  int
+		bytes float64
+	}{{64 << 10, smallBytes}, {len(big), bigBytes}} {
+		if limit := float64(m.base/2 + len(bigDelta)); m.bytes >= limit {
+			t.Errorf("%d-byte base: EncodeDelta allocates %.0f bytes per call, want under %.0f", m.base, m.bytes, limit)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package encoding
 
 // FuzzDeltaDecode is the delta-robustness fuzz target run by CI's fuzz smoke
-// job: ApplyDelta (and DecodeDeltaHeader) must never panic or over-allocate on
-// a corrupt or hostile delta — they either reconstruct a payload that
+// job (FuzzDeltaRoundTrip, below, is the encoder's): ApplyDelta (and
+// DecodeDeltaHeader) must never panic or over-allocate on a corrupt or
+// hostile delta — they either reconstruct a payload that
 // hash-verifies against the delta's declared head, or return an error. The
 // seed corpus holds real (base, delta) pairs from the snapshot lineages a
 // combiner actually re-exports: plain incremental ingest, a NaN-bearing mlq
@@ -19,9 +20,10 @@ import (
 	"quantilelb/internal/stream"
 )
 
-// deltaSeedPairs builds deterministic (base, delta) seed pairs covering the
-// mutated states the property tests pin: NaN, pruned, and merged summaries.
-func deltaSeedPairs(tb testing.TB) [][2][]byte {
+// deltaSeedLineages builds deterministic (base, head) payload pairs covering
+// the mutated states the property tests pin: NaN, pruned, and merged
+// summaries.
+func deltaSeedLineages(tb testing.TB) [][2][]byte {
 	tb.Helper()
 	gen := stream.NewGenerator(21)
 	items := gen.Shuffled(3000).Items()
@@ -33,22 +35,15 @@ func deltaSeedPairs(tb testing.TB) [][2][]byte {
 		}
 		return p
 	}
-	pair := func(base, head []byte) [2][]byte {
-		d, err := EncodeDelta(base, head)
-		if err != nil {
-			tb.Fatalf("encoding seed delta: %v", err)
-		}
-		return [2][]byte{base, d}
-	}
 
-	var pairs [][2][]byte
+	var lineages [][2][]byte
 
 	// Plain incremental ingest.
 	g := gk.NewFloat64(0.02)
 	g.UpdateBatch(items[:2000])
 	gBase := encode(g)
 	g.UpdateBatch(items[2000:])
-	pairs = append(pairs, pair(gBase, encode(g)))
+	lineages = append(lineages, [2][]byte{gBase, encode(g)})
 
 	// NaN-bearing mlq stream (NaN-first total order on the wire).
 	m := mlq.NewFloat64(0.02)
@@ -57,7 +52,7 @@ func deltaSeedPairs(tb testing.TB) [][2][]byte {
 	mBase := encode(m)
 	m.UpdateBatch(items[2000:])
 	m.Update(math.NaN())
-	pairs = append(pairs, pair(mBase, encode(m)))
+	lineages = append(lineages, [2][]byte{mBase, encode(m)})
 
 	// Pruned req summary (degraded-eps state).
 	r := req.NewFloat64(0.02)
@@ -65,7 +60,7 @@ func deltaSeedPairs(tb testing.TB) [][2][]byte {
 	rBase := encode(r)
 	r.UpdateBatch(items[2000:])
 	r.Prune(64)
-	pairs = append(pairs, pair(rBase, encode(r)))
+	lineages = append(lineages, [2][]byte{rBase, encode(r)})
 
 	// Merged gk pair (COMBINE output as head).
 	a := gk.NewFloat64(0.02)
@@ -76,8 +71,22 @@ func deltaSeedPairs(tb testing.TB) [][2][]byte {
 	if err := a.Merge(b); err != nil {
 		tb.Fatalf("merging seed summaries: %v", err)
 	}
-	pairs = append(pairs, pair(aBase, encode(a)))
+	lineages = append(lineages, [2][]byte{aBase, encode(a)})
 
+	return lineages
+}
+
+// deltaSeedPairs turns the seed lineages into (base, delta) pairs.
+func deltaSeedPairs(tb testing.TB) [][2][]byte {
+	tb.Helper()
+	var pairs [][2][]byte
+	for _, l := range deltaSeedLineages(tb) {
+		d, err := EncodeDelta(l[0], l[1])
+		if err != nil {
+			tb.Fatalf("encoding seed delta: %v", err)
+		}
+		pairs = append(pairs, [2][]byte{l[0], d})
+	}
 	return pairs
 }
 
@@ -123,5 +132,31 @@ func FuzzDeltaDecode(f *testing.F) {
 		if !IsDelta(delta) {
 			t.Fatal("ApplyDelta succeeded on a payload IsDelta rejects")
 		}
+	})
+}
+
+// FuzzDeltaRoundTrip holds the encoder to its contract on arbitrary inputs:
+// the delta applies back to head exactly, and its ops equal the reference
+// matcher's (referenceDeltaOps in delta_test.go), so the flat block index and
+// the word-wise match extension never change what goes on the wire. Run it
+// as CI does, with -fuzzminimizetime=1s: the fuzzer minimizes every input
+// that reaches new code, and at the seeds' sizes the default 60 s per input
+// would leave no time to fuzz.
+func FuzzDeltaRoundTrip(f *testing.F) {
+	for _, l := range deltaSeedLineages(f) {
+		f.Add(l[0], l[1])
+		f.Add(l[1], l[0])
+	}
+	f.Add([]byte{}, []byte{})
+	f.Add(make([]byte, 100), make([]byte, 133))
+
+	f.Fuzz(func(t *testing.T, base, head []byte) {
+		// The seeds reach 93 KB together. Mutations that grow far past
+		// them only slow every execution (the scan and the reference
+		// matcher cost a block lookup per head byte), so they are skipped.
+		if len(base)+len(head) > 128<<10 {
+			return
+		}
+		checkAgainstReference(t, "fuzz input", base, head)
 	})
 }
