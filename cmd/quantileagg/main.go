@@ -41,7 +41,9 @@
 // /v1/child/{name}/snapshot route every -interval.
 //
 // A peer that cannot be reached keeps contributing its last successful
-// snapshot; its error shows up in /v1/stats until it recovers.
+// snapshot; its error shows up in /v1/stats until it recovers. SIGINT or
+// SIGTERM shuts the aggregator down gracefully: in-flight requests finish,
+// the pull loop stops, and the process exits 0.
 //
 // Example (flat, keyed):
 //
@@ -58,7 +60,10 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"quantilelb/internal/cluster"
@@ -156,7 +161,6 @@ func main() {
 		log.Printf("quantileagg: initial pull: %v", err)
 	}
 	stop := start(*interval)
-	defer stop()
 
 	if *parent != "" {
 		if snapshot == nil {
@@ -167,7 +171,40 @@ func main() {
 
 	log.Printf("quantileagg listening on %s (%d peers, %d push children, keyed=%v, tree=%v, delta=%v, pull every %s)",
 		*addr, len(urls), len(childNames), *keyed, treeMode, *delta, *interval)
-	log.Fatal(http.ListenAndServe(*addr, handler))
+	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+	if err := serve(srv, stop); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// Server timeouts: a client gets readHeaderTimeout to send its request
+// headers, and a graceful shutdown waits up to shutdownTimeout for the
+// requests in flight.
+const (
+	readHeaderTimeout = 10 * time.Second
+	shutdownTimeout   = 10 * time.Second
+)
+
+// serve runs srv until SIGINT or SIGTERM, then shuts it down gracefully and
+// runs stop, which ends the pull loop. It returns the listener's error if
+// serving fails first (after running stop as well).
+func serve(srv *http.Server, stop func()) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	failed := make(chan error, 1)
+	go func() { failed <- srv.ListenAndServe() }()
+	var err error
+	select {
+	case err = <-failed:
+	case s := <-sig:
+		log.Printf("quantileagg: %v: shutting down", s)
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		err = srv.Shutdown(ctx)
+		cancel()
+	}
+	stop()
+	return err
 }
 
 // splitList parses a comma-separated flag value, dropping empty entries.

@@ -16,7 +16,9 @@
 // With -store-dir the keyed store is crash-safe: it checkpoints atomically
 // every -store-checkpoint and appends each update to a write-ahead log that
 // is replayed on restart (disable with -store-no-wal; -store-wal-sync trades
-// throughput for fsync'd durability).
+// throughput for fsync'd durability). SIGINT or SIGTERM shuts the server down
+// gracefully: in-flight requests finish, then the store writes its final
+// checkpoint, and the process exits 0.
 //
 // Single-stream endpoints (served by cluster.NewServerHandler; see its doc
 // comment for the full contract):
@@ -64,13 +66,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
 	"sort"
+	"syscall"
 	"time"
 
 	quantilelb "quantilelb"
@@ -125,8 +130,9 @@ func build[S sharded.Mergeable[float64, S]](cfg nodeConfig, factory func() S, pe
 	}
 	if cfg.storeDir != "" && cfg.storeCheckpoint > 0 {
 		tick := time.NewTicker(cfg.storeCheckpoint)
-		done := make(chan struct{})
+		done, exited := make(chan struct{}), make(chan struct{})
 		go func() {
+			defer close(exited)
 			for {
 				select {
 				case <-tick.C:
@@ -138,7 +144,8 @@ func build[S sharded.Mergeable[float64, S]](cfg nodeConfig, factory func() S, pe
 				}
 			}
 		}()
-		stops = append(stops, func() { tick.Stop(); close(done) })
+		// Wait for the ticker goroutine, so no timed checkpoint follows Close.
+		stops = append(stops, func() { tick.Stop(); close(done); <-exited })
 	}
 	return cluster.NewStoreServerHandler(s, st), func() {
 		for _, stop := range stops {
@@ -255,9 +262,41 @@ func main() {
 		seed:            *seed,
 		maxN:            *maxN,
 	})
-	defer stop()
 
 	log.Printf("quantileserver listening on %s (family=%s eps=%g shards=%d store-budget=%d)",
 		*addr, *family, *eps, *shards, *storeBudget)
-	log.Fatal(http.ListenAndServe(*addr, handler))
+	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+	if err := serve(srv, stop); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// Server timeouts: a client gets readHeaderTimeout to send its request
+// headers, and a graceful shutdown waits up to shutdownTimeout for the
+// requests in flight.
+const (
+	readHeaderTimeout = 10 * time.Second
+	shutdownTimeout   = 10 * time.Second
+)
+
+// serve runs srv until SIGINT or SIGTERM, then shuts it down gracefully and
+// runs stop, which writes the store's final checkpoint. It returns the
+// listener's error if serving fails first (after running stop as well).
+func serve(srv *http.Server, stop func()) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	failed := make(chan error, 1)
+	go func() { failed <- srv.ListenAndServe() }()
+	var err error
+	select {
+	case err = <-failed:
+	case s := <-sig:
+		log.Printf("quantileserver: %v: shutting down", s)
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		err = srv.Shutdown(ctx)
+		cancel()
+	}
+	stop()
+	return err
 }

@@ -126,9 +126,12 @@ type snapshotSource interface {
 // rotated out simply falls back to a full payload.
 const snapHistoryLen = 8
 
-// snapEntry is one retained (ETag, payload) pair of the delta-base ring.
+// snapEntry is one snapshot the cache retains: its content ETag, the
+// PayloadHash that ETag quotes (kept so a delta answer need not hash the
+// payload again), and the payload.
 type snapEntry struct {
 	etag    string
+	hash    uint64
 	payload []byte
 }
 
@@ -146,60 +149,60 @@ type snapCache struct {
 	mu      sync.Mutex
 	valid   bool
 	version int64
-	payload []byte
-	etag    string
+	head    snapEntry
 	history [snapHistoryLen]snapEntry
 	next    int
 }
 
-// current returns the up-to-date payload and its content ETag, re-encoding
-// only when the source's version moved since the last call.
-func (c *snapCache) current(src snapshotSource) ([]byte, string, error) {
+// current returns the up-to-date snapshot, re-encoding only when the
+// source's version moved since the last call.
+func (c *snapCache) current(src snapshotSource) (snapEntry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v, ok := src.SnapshotVersion(); ok && c.valid && v == c.version {
-		return c.payload, c.etag, nil
+		return c.head, nil
 	}
 	payload, v, err := src.SnapshotPayload()
 	if err != nil {
-		return nil, "", err
+		return snapEntry{}, err
 	}
-	etag := contentETag(payload)
-	c.valid, c.version, c.payload, c.etag = true, v, payload, etag
-	c.remember(etag, payload)
-	return payload, etag, nil
+	hash := encoding.PayloadHash(payload)
+	c.valid, c.version = true, v
+	c.head = snapEntry{etag: contentETag(hash), hash: hash, payload: payload}
+	c.remember(c.head)
+	return c.head, nil
 }
 
-// remember records a payload in the delta-base ring (idempotent per ETag).
+// remember records a snapshot in the delta-base ring (idempotent per ETag).
 // Caller holds mu.
-func (c *snapCache) remember(etag string, payload []byte) {
-	for _, e := range c.history {
-		if e.etag == etag {
+func (c *snapCache) remember(e snapEntry) {
+	for _, h := range c.history {
+		if h.etag == e.etag {
 			return
 		}
 	}
-	c.history[c.next] = snapEntry{etag: etag, payload: payload}
+	c.history[c.next] = e
 	c.next = (c.next + 1) % snapHistoryLen
 }
 
-// base returns the retained payload whose content ETag matches, if any.
-func (c *snapCache) base(etag string) ([]byte, bool) {
+// base returns the retained snapshot whose content ETag matches, if any.
+func (c *snapCache) base(etag string) (snapEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.history {
 		if e.payload != nil && e.etag == etag {
-			return e.payload, true
+			return e, true
 		}
 	}
-	return nil, false
+	return snapEntry{}, false
 }
 
-// contentETag derives a snapshot ETag from payload bytes alone: two
-// byte-identical snapshots carry the same ETag across processes and
-// restarts, and the quoted hash doubles as the delta-base name a client
+// contentETag derives a snapshot ETag from the PayloadHash of its bytes
+// alone: two byte-identical snapshots carry the same ETag across processes
+// and restarts, and the quoted hash doubles as the delta-base name a client
 // echoes in ?base=.
-func contentETag(payload []byte) string {
-	return `"` + strconv.FormatUint(encoding.PayloadHash(payload), 36) + `"`
+func contentETag(hash uint64) string {
+	return `"` + strconv.FormatUint(hash, 36) + `"`
 }
 
 // serveSnapshot answers GET /v1/snapshot with the shared snapshot contract
@@ -222,27 +225,27 @@ func serveSnapshot(w http.ResponseWriter, r *http.Request, c *snapCache, src sna
 		httpError(w, http.StatusBadRequest, "bad mode %q: want delta or full", mode)
 		return
 	}
-	payload, etag, err := c.current(src)
+	head, err := c.current(src)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "snapshot unavailable: %v", err)
 		return
 	}
-	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
+	w.Header().Set("ETag", head.etag)
+	if r.Header.Get("If-None-Match") == head.etag {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if base := r.URL.Query().Get("base"); mode != "full" && base != "" && base != etag {
-		if basePayload, ok := c.base(base); ok && len(payload) <= encoding.MaxDeltaInputBytes && len(basePayload) <= encoding.MaxDeltaInputBytes {
-			if delta, err := encoding.EncodeDelta(basePayload, payload); err == nil && len(delta) < len(payload) {
+	if base := r.URL.Query().Get("base"); mode != "full" && base != "" && base != head.etag {
+		if b, ok := c.base(base); ok && len(head.payload) <= encoding.MaxDeltaInputBytes && len(b.payload) <= encoding.MaxDeltaInputBytes {
+			if delta, err := encoding.EncodeDeltaWithHashes(b.payload, head.payload, b.hash, head.hash); err == nil && len(delta) < len(head.payload) {
 				w.Header().Set("Delta-Base", base)
 				w.Write(delta)
 				return
 			}
 		}
 	}
-	w.Write(payload)
+	w.Write(head.payload)
 }
 
 // errorCode maps an HTTP status to the machine-readable "code" field of the

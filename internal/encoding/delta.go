@@ -238,14 +238,24 @@ func matchForward(a, b []byte) int {
 // from the output, the index is the only allocation: between a quarter and
 // a half of len(base).
 func EncodeDelta(base, head []byte) ([]byte, error) {
+	return EncodeDeltaWithHashes(base, head, PayloadHash(base), PayloadHash(head))
+}
+
+// EncodeDeltaWithHashes is EncodeDelta for a caller that already holds
+// PayloadHash(base) and PayloadHash(head) — the cluster tier keeps them as
+// its snapshot ETags — and so skips two passes over the payloads. The hashes
+// are written into the delta's header unchecked: a wrong baseHash makes
+// ApplyDelta refuse the delta with ErrDeltaBaseMismatch, and a wrong
+// headHash makes it refuse the reconstruction.
+func EncodeDeltaWithHashes(base, head []byte, baseHash, headHash uint64) ([]byte, error) {
 	if len(base) > MaxDeltaInputBytes || len(head) > MaxDeltaInputBytes {
 		return nil, fmt.Errorf("encoding: payload of %d/%d bytes exceeds the %d-byte delta input cap", len(base), len(head), MaxDeltaInputBytes)
 	}
 	index := newBlockIndex(base)
 
 	w := newPayload(KindDelta, 8+8+4+4)
-	w.u64(PayloadHash(base))
-	w.u64(PayloadHash(head))
+	w.u64(baseHash)
+	w.u64(headHash)
 	w.u32(uint32(len(head)))
 	// The op count precedes the ops; it is patched in once they are written.
 	countAt := len(w.buf)

@@ -9,6 +9,7 @@ package encoding
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -446,6 +447,32 @@ func checkAgainstReference(t *testing.T, name string, base, head []byte) {
 	}
 	if out, err := ApplyDelta(base, delta); err != nil || !bytes.Equal(out, head) {
 		t.Fatalf("%s: round trip failed: %v", name, err)
+	}
+	withHashes, err := EncodeDeltaWithHashes(base, head, PayloadHash(base), PayloadHash(head))
+	if err != nil || !bytes.Equal(withHashes, delta) {
+		t.Fatalf("%s: EncodeDeltaWithHashes differs from EncodeDelta (err %v)", name, err)
+	}
+}
+
+// TestEncodeDeltaWithHashesWrongBase: the caller-supplied hashes go into the
+// header unchecked, so ApplyDelta is what refuses a delta that names the
+// wrong base — and a wrong head hash fails the reconstruction check.
+func TestEncodeDeltaWithHashesWrongBase(t *testing.T) {
+	cs := pullContainers(t, 200, 1)
+	base, head := cs[0], cs[1]
+	delta, err := EncodeDeltaWithHashes(base, head, PayloadHash(base)+1, PayloadHash(head))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyDelta(base, delta); !errors.Is(err, ErrDeltaBaseMismatch) {
+		t.Fatalf("ApplyDelta over a wrong base hash: %v, want ErrDeltaBaseMismatch", err)
+	}
+	delta, err = EncodeDeltaWithHashes(base, head, PayloadHash(base), PayloadHash(head)+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := ApplyDelta(base, delta); err == nil {
+		t.Fatalf("ApplyDelta accepted a wrong head hash (%d bytes)", len(out))
 	}
 }
 

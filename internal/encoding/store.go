@@ -37,11 +37,16 @@ type KeyedPayload struct {
 // equal stores produce byte-identical payloads. Duplicate keys, keys longer
 // than MaxStoreKeyBytes, and nested payloads that are not themselves valid
 // single-summary payloads are rejected. The container is allocated once at
-// its exact size.
+// its exact size, and it is the only allocation when the entries already
+// ascend by key (the keyed store's snapshots do); otherwise a sorted copy of
+// the entries is made first.
 func EncodeStore(entries []KeyedPayload) ([]byte, error) {
-	sorted := make([]KeyedPayload, len(entries))
-	copy(sorted, entries)
-	slices.SortFunc(sorted, func(a, b KeyedPayload) int { return strings.Compare(a.Key, b.Key) })
+	byKey := func(a, b KeyedPayload) int { return strings.Compare(a.Key, b.Key) }
+	sorted := entries
+	if !slices.IsSortedFunc(entries, byKey) {
+		sorted = slices.Clone(entries)
+		slices.SortFunc(sorted, byKey)
+	}
 	body := 4
 	for i, e := range sorted {
 		if len(e.Key) > MaxStoreKeyBytes {
@@ -50,6 +55,13 @@ func EncodeStore(entries []KeyedPayload) ([]byte, error) {
 		if i > 0 && e.Key == sorted[i-1].Key {
 			return nil, fmt.Errorf("encoding: duplicate store key %q", e.Key)
 		}
+		body += 4 + len(e.Key) + 4 + len(e.Payload)
+	}
+	w := newPayload(KindStore, body)
+	w.u32(uint32(len(sorted)))
+	for _, e := range sorted {
+		// Each nested payload is checked as it is copied, so its bytes are
+		// read once.
 		kind, err := DetectKind(e.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("encoding: store key %q: invalid nested payload: %w", e.Key, err)
@@ -57,11 +69,6 @@ func EncodeStore(entries []KeyedPayload) ([]byte, error) {
 		if kind == KindStore {
 			return nil, fmt.Errorf("encoding: store key %q: KindStore containers do not nest", e.Key)
 		}
-		body += 4 + len(e.Key) + 4 + len(e.Payload)
-	}
-	w := newPayload(KindStore, body)
-	w.u32(uint32(len(sorted)))
-	for _, e := range sorted {
 		w.u32(uint32(len(e.Key)))
 		w.buf = append(w.buf, e.Key...)
 		w.u32(uint32(len(e.Payload)))

@@ -16,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"quantilelb/internal/encoding"
 )
 
 func TestOpenWithoutDirIsEphemeral(t *testing.T) {
@@ -54,9 +56,21 @@ func TestCheckpointReopenRoundTrip(t *testing.T) {
 	if st.Checkpoints != 1 || st.LastCheckpointUnix == 0 {
 		t.Fatalf("checkpoint stats = %+v", st)
 	}
-	// The WAL is truncated by the checkpoint: its records are now redundant.
-	if fi, err := os.Stat(filepath.Join(dir, walFile)); err != nil || fi.Size() != 0 {
-		t.Fatalf("WAL after checkpoint: size=%v err=%v", fi.Size(), err)
+	// The checkpoint retires the WAL records it covers: store.wal holds only
+	// the record naming the new checkpoint's hash, and no frozen segment is
+	// left.
+	if ops := walOps(t, filepath.Join(dir, walFile)); len(ops) != 1 || ops[0] != walOpCheckpoint {
+		t.Fatalf("WAL after checkpoint: ops %v, want only the checkpoint record", ops)
+	}
+	ckpt, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hash, named, err := segmentName(filepath.Join(dir, walFile)); err != nil || !named || hash != encoding.PayloadHash(ckpt) {
+		t.Fatalf("store.wal names %016x (named %v, err %v), want %016x", hash, named, err, encoding.PayloadHash(ckpt))
+	}
+	if segs, err := frozenSegments(dir); err != nil || len(segs) != 0 {
+		t.Fatalf("frozen segments after checkpoint: %v (err %v)", segs, err)
 	}
 
 	r, err := Open(Config{Eps: 0.02, Dir: dir})
@@ -174,7 +188,8 @@ func TestDisableWALOnlyPersistsCheckpoints(t *testing.T) {
 // after the store has acked the whole round. The parent SIGKILLs it
 // mid-ingest, reopens the store directory, and requires every key to hold at
 // least as many updates as the last fully-acked round — i.e. zero lost acked
-// updates on surviving keys.
+// updates on surviving keys — and at most one more, the round in flight: no
+// update is replayed twice.
 const (
 	killHelperEnvFlag = "STORE_KILL_HELPER"
 	killHelperEnvDir  = "STORE_KILL_DIR"
@@ -270,6 +285,10 @@ func TestKillAndReopenRecovery(t *testing.T) {
 		k := killHelperKey(i)
 		if got := r.Count(k); got < acked {
 			t.Errorf("key %q lost acked updates: count %d < acked rounds %d", k, got, acked)
+		} else if got > acked+1 {
+			// Each round updates every key once; at most one round was
+			// logged but not yet acked when the kill landed.
+			t.Errorf("key %q replayed updates twice: count %d > acked rounds %d + 1", k, got, acked)
 		}
 		if _, ok := r.Query(k, 0.5); !ok {
 			t.Errorf("key %q not queryable after recovery", k)

@@ -62,7 +62,9 @@ package store
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +72,8 @@ import (
 	"quantilelb/internal/encoding"
 	"quantilelb/internal/exact"
 	"quantilelb/internal/gk"
+	"quantilelb/internal/mlq"
+	"quantilelb/internal/req"
 	"quantilelb/internal/summary"
 )
 
@@ -174,6 +178,16 @@ type Config struct {
 type slot struct {
 	mu  sync.Mutex
 	gen uint32 // bumped on (re)allocation; handles re-check it to defeat ABA
+	// ver moves under mu whenever the summary's encoded bytes may change:
+	// every update, merge, adopt, promotion, (re)allocation and removal, and
+	// every read of a readMoves family. It never resets, so an unchanged ver
+	// names one encoding of one allocation; SnapshotPayload loads it without
+	// mu and re-encodes a key only when it moved since the last snapshot.
+	ver atomic.Uint64
+	// readMoves marks families whose reads sort the live buffer in place
+	// (mlq, req): the encoders write that buffer in its stored order, so a
+	// read changes the encoded bytes without changing the summary.
+	readMoves bool
 
 	sum      Summary
 	sized    summary.Sized   // nil when sum has no exact footprint report
@@ -196,6 +210,21 @@ func (sl *slot) install(sum Summary, buffered bool) {
 	sl.sized, _ = sum.(summary.Sized)
 	sl.batch, _ = sum.(batchUpdater)
 	sl.weighted, _ = sum.(weightedUpdater)
+	switch sum.(type) {
+	case *mlq.Summary, *req.Summary:
+		sl.readMoves = true
+	default:
+		sl.readMoves = false
+	}
+	sl.ver.Add(1)
+}
+
+// read marks a read of the slot's summary: it moves the version of the
+// families whose reads reorder their encoded state. Caller holds sl.mu.
+func (sl *slot) read() {
+	if sl.readMoves {
+		sl.ver.Add(1)
+	}
 }
 
 // handle identifies one allocation of a slot: the slot pointer plus the
@@ -264,10 +293,18 @@ type Store struct {
 
 	evictMu sync.Mutex // serializes eviction sweeps
 
+	snapMu sync.Mutex  // guards snap; taken before persistMu
+	snap   spliceState // SnapshotPayload's previous container and record index
+
 	// persistence (nil/zero unless built with Open and a Config.Dir)
 	dir            string
 	wal            *walWriter
-	persistMu      sync.RWMutex // writers RLock around log+apply; Checkpoint Locks
+	persistMu      sync.RWMutex // writers RLock around log+apply; Checkpoint's capture and rotate Lock
+	ckptMu         sync.Mutex   // serializes Checkpoint and Close; guards the fields below
+	closed         bool
+	frozen         []uint64          // numbers of the frozen WAL segments on disk, ascending
+	nextSeg        uint64            // number the next rotate freezes store.wal under
+	step           func(name string) // test seam: called at each checkpoint step boundary
 	checkpoints    atomic.Int64
 	walRecords     atomic.Int64
 	walReplayed    atomic.Int64
@@ -470,6 +507,7 @@ func (s *Store) updateNoLog(key string, x float64) {
 			continue // evicted between lookup and lock: retry on a fresh slot
 		}
 		h.sl.sum.Update(x)
+		h.sl.ver.Add(1)
 		s.maybePromoteLocked(h.sl)
 		db, di := s.settleLocked(h.sl)
 		h.sl.mu.Unlock()
@@ -513,6 +551,7 @@ func (s *Store) updateBatchNoLog(key string, xs []float64) {
 				h.sl.sum.Update(x)
 			}
 		}
+		h.sl.ver.Add(1)
 		s.maybePromoteLocked(h.sl)
 		db, di := s.settleLocked(h.sl)
 		h.sl.mu.Unlock()
@@ -594,6 +633,7 @@ func (s *Store) weightedUpdateBatchNoLog(key string, xs []float64, ws []int64, t
 		} else {
 			h.sl.weighted.WeightedUpdateBatch(xs, ws)
 		}
+		h.sl.ver.Add(1)
 		s.maybePromoteLocked(h.sl)
 		db, di := s.settleLocked(h.sl)
 		h.sl.mu.Unlock()
@@ -631,6 +671,7 @@ func (s *Store) Query(key string, phi float64) (float64, bool) {
 		return 0, false
 	}
 	v, ok := h.sl.sum.Query(phi)
+	h.sl.read()
 	h.sl.mu.Unlock()
 	s.touch(h)
 	return v, ok
@@ -649,6 +690,7 @@ func (s *Store) EstimateRank(key string, q float64) int {
 		return 0
 	}
 	r := h.sl.sum.EstimateRank(q)
+	h.sl.read()
 	h.sl.mu.Unlock()
 	s.touch(h)
 	return r
@@ -668,6 +710,7 @@ func (s *Store) CDF(key string, q float64) float64 {
 	}
 	n := h.sl.sum.Count()
 	r := h.sl.sum.EstimateRank(q)
+	h.sl.read()
 	h.sl.mu.Unlock()
 	s.touch(h)
 	if n == 0 {
@@ -802,6 +845,7 @@ func (s *Store) reap(st *stripe, id uint32) {
 	st.mu.Unlock()
 	sl.mu.Lock()
 	sl.dead = true
+	sl.ver.Add(1)
 	freedB, freedI := sl.retained, sl.items
 	wasBuffered := sl.buffered
 	sl.retained = 0
@@ -974,44 +1018,146 @@ func (s *Store) StartJanitor(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
+// spliceState is what SnapshotPayload keeps between calls: the previous
+// container and, per record, the slot allocation and version its payload was
+// encoded at. Guarded by Store.snapMu.
+type spliceState struct {
+	prev    []byte                  // the last container; never written after it is returned
+	recs    []snapRec               // ascending by key, reused while no key is created
+	entries []encoding.KeyedPayload // EncodeStore's input, reused
+	creates int64                   // Store.creates when recs was gathered
+	valid   bool                    // recs was gathered and prev matches it
+}
+
+// snapRec is one record of the last container: the key, the slot allocation
+// it was read from, the slot version its payload encodes, and where that
+// payload sits in spliceState.prev.
+type snapRec struct {
+	key string
+	sl  *slot
+	ver uint64
+	off int
+	n   uint32
+	gen uint32
+}
+
 // SnapshotPayload serializes every live key's summary into one KindStore
 // container payload (internal/encoding) and returns the store's content
 // version, which the HTTP tier uses as a cheap change detector (the
-// snapshot ETag itself is a content hash of the payload). Keys are encoded
-// in sorted order from the live summaries, so the sub-payloads of keys a
-// mutation did not touch re-encode byte-identically — the locality the
-// KindDelta incremental snapshots of the cluster tier diff against.
-// A key still in its buffered stage encodes as its exact items (KindExact),
-// so restore and merge reproduce it losslessly. Keys are encoded under their
-// own locks one at a time, so a snapshot taken under concurrent writes is a
+// snapshot ETag itself is a content hash of the payload). The output is
+// byte-identical to EncodeStore over a fresh Encode of every key — a key
+// still in its buffered stage encodes as its exact items (KindExact), so
+// restore and merge reproduce it losslessly — but it is spliced from the
+// previous container: a key whose slot version has not moved since then is
+// copied from it, and only the keys a mutation (or, for mlq and req, a read)
+// touched are re-encoded. While no key was created, the sorted key list of
+// the previous call is reused too. Keys are read under their own
+// locks one at a time, so a snapshot taken under concurrent writes is a
 // per-key-consistent (not globally atomic) view — the same staleness
-// contract the sharded tier serves reads with.
+// contract the sharded tier serves reads with. The returned slice is never
+// written again by the store; callers must not write to it either.
 func (s *Store) SnapshotPayload() ([]byte, int64, error) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	return s.snapshotLocked()
+}
+
+// snapshotLocked is SnapshotPayload's body. Caller holds snapMu.
+func (s *Store) snapshotLocked() ([]byte, int64, error) {
 	version := s.mutations.Load()
-	keys := s.Keys()
-	entries := make([]encoding.KeyedPayload, 0, len(keys))
-	for _, key := range keys {
-		h := s.get(key)
-		if h.sl == nil {
-			continue // evicted since the key scan
-		}
-		h.sl.mu.Lock()
-		if !h.valid() {
-			h.sl.mu.Unlock()
-			continue
-		}
-		payload, err := encoding.Encode(h.sl.sum)
-		h.sl.mu.Unlock()
-		if err != nil {
-			return nil, 0, fmt.Errorf("store: encoding key %q: %w", key, err)
-		}
-		entries = append(entries, encoding.KeyedPayload{Key: key, Payload: payload})
+	sp := &s.snap
+	if c := s.creates.Load(); !sp.valid || c != sp.creates {
+		// Read the counter before the gather: creates moves after the key is
+		// indexed, so a key the gather misses makes the next call regather.
+		// A removed key needs no gather; its record is dropped below.
+		s.gatherLocked()
+		sp.creates = c
 	}
-	payload, err := encoding.EncodeStore(entries)
+	// Invalid until the container below is built and indexed: after an
+	// error return the next call regathers and re-encodes every key.
+	sp.valid = false
+	entries := slices.Grow(sp.entries[:0], len(sp.recs))
+	live := sp.recs[:0]
+	for _, r := range sp.recs {
+		var payload []byte
+		if r.n > 0 && r.sl.ver.Load() == r.ver {
+			payload = sp.prev[r.off : r.off+int(r.n)]
+		} else {
+			r.sl.mu.Lock()
+			if r.sl.dead || r.sl.gen != r.gen {
+				r.sl.mu.Unlock()
+				continue // removed since the gather
+			}
+			var err error
+			if payload, err = encoding.Encode(r.sl.sum); err != nil {
+				r.sl.mu.Unlock()
+				clear(entries)
+				return nil, 0, fmt.Errorf("store: encoding key %q: %w", r.key, err)
+			}
+			r.ver = r.sl.ver.Load()
+			r.sl.mu.Unlock()
+		}
+		live = append(live, r)
+		entries = append(entries, encoding.KeyedPayload{Key: r.key, Payload: payload})
+	}
+	sp.recs = live
+	out, err := encoding.EncodeStore(entries)
 	if err != nil {
+		clear(entries)
 		return nil, 0, err
 	}
-	return payload, version, nil
+	// Index the new container: records fill its tail, each laid out as
+	// u32 keyLen | key | u32 payloadLen | payload.
+	body := 0
+	for _, e := range entries {
+		body += 8 + len(e.Key) + len(e.Payload)
+	}
+	pos := len(out) - body
+	for i, e := range entries {
+		pos += 8 + len(e.Key)
+		sp.recs[i].off, sp.recs[i].n = pos, uint32(len(e.Payload))
+		pos += len(e.Payload)
+	}
+	clear(entries) // drop the fresh payloads; out holds their bytes now
+	sp.entries = entries[:0]
+	sp.prev = out
+	sp.valid = true
+	return out, version, nil
+}
+
+// gatherLocked rebuilds the record list from the key index, ascending by
+// key, carrying each record of the previous list over when its key still
+// names the same slot allocation. Caller holds snapMu.
+func (s *Store) gatherLocked() {
+	sp := &s.snap
+	next := make([]snapRec, 0, s.keys.Load())
+	for _, st := range s.stripes {
+		st.mu.Lock()
+		for k, id := range st.index {
+			sl := st.slotAt(id)
+			next = append(next, snapRec{key: k, sl: sl, gen: sl.gen})
+		}
+		st.mu.Unlock()
+	}
+	slices.SortFunc(next, func(a, b snapRec) int { return strings.Compare(a.key, b.key) })
+	if sp.valid {
+		old := sp.recs
+		for i, j := 0, 0; i < len(next) && j < len(old); {
+			switch c := strings.Compare(next[i].key, old[j].key); {
+			case c < 0:
+				i++
+			case c > 0:
+				j++
+			default:
+				if next[i].sl == old[j].sl && next[i].gen == old[j].gen {
+					next[i] = old[j]
+				}
+				i++
+				j++
+			}
+		}
+	}
+	sp.recs = next
 }
 
 // SnapshotVersion cheaply reports the store's content version for ETag
@@ -1140,6 +1286,7 @@ func (s *Store) adoptOrMerge(key string, sum Summary) error {
 		}
 		wasBuffered := sl.buffered
 		merged, err := encoding.MergeAdopting(sl.sum, sum)
+		sl.ver.Add(1)
 		var db, di int64
 		if err == nil {
 			if merged != any(sl.sum) {
